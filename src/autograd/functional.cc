@@ -67,8 +67,14 @@ class SubNode : public Node
     std::vector<Tensor>
     backward(const Tensor &g) override
     {
-        return {reduceGradToShape(g, sa_),
-                reduceGradToShape(edkm::neg(g), sb_)};
+        Tensor ga, gb;
+        if (needsInputGrad(0)) {
+            ga = reduceGradToShape(g, sa_);
+        }
+        if (needsInputGrad(1)) {
+            gb = reduceGradToShape(edkm::neg(g), sb_);
+        }
+        return {ga, gb};
     }
 
   private:
@@ -87,9 +93,14 @@ class MulNode : public Node
     std::vector<Tensor>
     backward(const Tensor &g) override
     {
-        Tensor a = a_.unpack(), b = b_.unpack();
-        return {reduceGradToShape(edkm::mul(g, b), sa_),
-                reduceGradToShape(edkm::mul(g, a), sb_)};
+        Tensor ga, gb;
+        if (needsInputGrad(0)) {
+            ga = reduceGradToShape(edkm::mul(g, b_.unpack()), sa_);
+        }
+        if (needsInputGrad(1)) {
+            gb = reduceGradToShape(edkm::mul(g, a_.unpack()), sb_);
+        }
+        return {ga, gb};
     }
 
   private:
@@ -109,10 +120,18 @@ class DivNode : public Node
     std::vector<Tensor>
     backward(const Tensor &g) override
     {
-        Tensor a = a_.unpack(), b = b_.unpack();
-        Tensor ga = edkm::div(g, b);
-        Tensor gb = edkm::neg(edkm::div(edkm::mul(g, a), edkm::mul(b, b)));
-        return {reduceGradToShape(ga, sa_), reduceGradToShape(gb, sb_)};
+        Tensor b = b_.unpack();
+        Tensor ga, gb;
+        if (needsInputGrad(0)) {
+            ga = reduceGradToShape(edkm::div(g, b), sa_);
+        }
+        if (needsInputGrad(1)) {
+            Tensor a = a_.unpack();
+            gb = reduceGradToShape(
+                edkm::neg(edkm::div(edkm::mul(g, a), edkm::mul(b, b))),
+                sb_);
+        }
+        return {ga, gb};
     }
 
   private:
@@ -309,11 +328,16 @@ class MatmulNode : public Node
     std::vector<Tensor>
     backward(const Tensor &g) override
     {
-        Tensor a = a_.unpack(), b = b_.unpack();
         Tensor ga, gb;
         // grad_a = g @ b^T ; grad_b = a^T @ g (collapse batch if b is 2-d)
-        ga = edkm::matmul(g, b.transpose(-2, -1));
-        if (a.dim() == 3 && b.dim() == 2) {
+        if (needsInputGrad(0)) {
+            ga = edkm::matmul(g, b_.unpack().transpose(-2, -1));
+        }
+        if (!needsInputGrad(1)) {
+            return {ga, gb};
+        }
+        Tensor a = a_.unpack();
+        if (a.dim() == 3 && sb_.size() == 2) {
             int64_t k = a.size(2), n = g.size(-1);
             Tensor a2 = a.reshape({-1, k});
             Tensor g2 = g.isContiguous() ? g.view({-1, n})

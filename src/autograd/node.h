@@ -189,6 +189,17 @@ class Node : public std::enable_shared_from_this<Node>
     /** Gradient routing, one edge per input. */
     std::vector<Edge> nextEdges;
 
+    /**
+     * True when input @p i's gradient has a consumer. Backward may skip
+     * (return an undefined Tensor for) inputs where this is false, e.g.
+     * constants.
+     */
+    bool
+    needsInputGrad(size_t i) const
+    {
+        return i < nextEdges.size() && nextEdges[i].fn != nullptr;
+    }
+
     /** Weak links to input variables (forward-graph navigation). */
     std::vector<std::weak_ptr<VarImpl>> inputImpls;
 

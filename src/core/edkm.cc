@@ -82,14 +82,6 @@ computeTable(const Tensor &u_col, const Tensor &c_row, float tau)
     return kernels::attentionTable(u_col, c_row, tau);
 }
 
-/** Gather @p table rows ([U,k]) by u16 @p idx ([n]) -> dense [n,k]
- *  (contiguity hoisted, consecutive rows memcpy-batched). */
-Tensor
-gatherTableRows(const Tensor &table, const Tensor &idx)
-{
-    return kernels::gatherTableRows(table, idx);
-}
-
 /**
  * Scatter-add 1-D @p g ([n]) into [U] buckets by u16 @p idx. Chunked:
  * each chunk scatters into a private [U] buffer; buffers merge in chunk
@@ -126,9 +118,9 @@ scatterAddByIdx(const Tensor &g, const Tensor &idx, int64_t u_count)
 /**
  * The whole unrolled DKM loop as one autograd node. Forward runs in
  * table space (or dense when uniquification is off); backward either
- * reconstructs the dense attention map per iteration (paper mode) or
- * stays in table space (fused mode). Gradients equal the composed dense
- * DkmLayer's up to float associativity.
+ * runs the dense formulas per member over the saved attention rows
+ * (paper mode) or stays in table space (fused mode). Gradients equal the
+ * composed dense DkmLayer's up to float associativity.
  */
 class EdkmClusterNode : public Node
 {
@@ -160,14 +152,17 @@ class EdkmClusterNode : public Node
     /** Recover the full index list (simulated all-gather when sharded). */
     Tensor fullIndexList() const;
 
-    /** Recover iteration @p it's dense attention map [n,k]. */
-    Tensor denseMap(const EdkmTape::Iter &iter, const Tensor &idx,
-                    const Tensor &w_dense) const;
+    /** Iteration @p iter's saved attention rows: the [U,k] table in U
+     *  mode, else the full dense map [n,k] (regenerated when sharded
+     *  from the dense weights @p w_dense). */
+    Tensor attentionRows(const EdkmTape::Iter &iter,
+                         const Tensor &w_dense) const;
 
     /** Table-space backward (extension; uniquify mode only). */
     Tensor fusedBackward(const Tensor &g);
 
-    /** Dense backward with reconstruction (paper-faithful). */
+    /** Dense backward formulas streamed over the saved rows
+     *  (paper-faithful). */
     Tensor denseBackward(const Tensor &g);
 
     std::shared_ptr<EdkmTape> tape_;
@@ -191,15 +186,11 @@ EdkmClusterNode::fullIndexList() const
 }
 
 Tensor
-EdkmClusterNode::denseMap(const EdkmTape::Iter &iter, const Tensor &idx,
-                          const Tensor &w_dense) const
+EdkmClusterNode::attentionRows(const EdkmTape::Iter &iter,
+                               const Tensor &w_dense) const
 {
     const EdkmTape &t = *tape_;
-    if (t.config.uniquify) {
-        // gather rows of the saved table
-        return gatherTableRows(iter.table.unpack(), idx);
-    }
-    Tensor saved = iter.table.unpack(); // dense rows (maybe a shard)
+    Tensor saved = iter.table.unpack(); // [U,k] table or dense rows
     if (!iter.tableSharded) {
         return saved;
     }
@@ -221,28 +212,29 @@ EdkmClusterNode::denseBackward(const Tensor &g)
     int num_iters = static_cast<int>(t.iters.size());
     float inv_tau = 1.0f / t.tau;
 
-    // Dense weight values (bucketed when uniquification is on).
+    // Member i reads its value and dense attention row from row r(i) of
+    // the saved rows: r(i) = idx[i] of the [U,k] table in U mode, i of
+    // the [n,k] map otherwise. No [n,k] tensor is built in U mode.
     Tensor idx;
-    Tensor w_dense;
+    Tensor values; // [U] unique values, or the dense weights [n]
     if (t.config.uniquify) {
         idx = fullIndexList();
-        Tensor u = t.uValuesSaved.unpack();
-        w_dense = Tensor::empty({n}, DType::kF32, g.device());
-        const float *pu = u.rawData<const float>();
-        const uint16_t *pi = idx.rawData<const uint16_t>();
-        float *pw = w_dense.rawData<float>();
-        parallelFor(0, n, grainFor(n), [&](int64_t cb, int64_t ce) {
-            kernels::gatherU16(pu, pi + cb, ce - cb, pw + cb);
-        });
+        values = t.uValuesSaved.unpack();
     } else {
-        w_dense = t.wRetained.isContiguous()
-                      ? t.wRetained.view({n})
-                      : t.wRetained.contiguous().view({n});
-        if (w_dense.dtype() != DType::kF32) {
-            w_dense = w_dense.to(DType::kF32);
+        values = t.wRetained.isContiguous()
+                     ? t.wRetained.view({n})
+                     : t.wRetained.contiguous().view({n});
+        if (values.dtype() != DType::kF32) {
+            values = values.to(DType::kF32);
         }
     }
-    const float *pw = w_dense.rawData<const float>();
+    const uint16_t *pidx =
+        idx.defined() ? idx.rawData<const uint16_t>() : nullptr;
+    const float *pv = values.rawData<const float>();
+    auto rowOf = [pidx](int64_t i) {
+        return pidx != nullptr ? static_cast<int64_t>(pidx[i]) : i;
+    };
+    int64_t rows = values.numel();
 
     Tensor gw = Tensor::zeros({n}, DType::kF32, g.device());
     float *pgw = gw.rawData<float>();
@@ -250,7 +242,7 @@ EdkmClusterNode::denseBackward(const Tensor &g)
 
     // Final step: W~ = A_last * c_final.
     std::vector<float> c_final = t.cFinal.toVector();
-    Tensor a_last = denseMap(t.iters.back(), idx, w_dense);
+    Tensor a_last = attentionRows(t.iters.back(), values);
     const float *pa_last = a_last.rawData<const float>();
 
     // gc[k]: gradient w.r.t. the centroid vector flowing backwards.
@@ -260,29 +252,55 @@ EdkmClusterNode::denseBackward(const Tensor &g)
         [&](int64_t cb, int64_t ce) {
             std::vector<double> part(static_cast<size_t>(k), 0.0);
             for (int64_t i = cb; i < ce; ++i) {
+                const float *arow = pa_last + rowOf(i) * k;
                 for (int64_t j = 0; j < k; ++j) {
                     part[static_cast<size_t>(j)] +=
-                        static_cast<double>(pg[i]) * pa_last[i * k + j];
+                        static_cast<double>(pg[i]) * arow[j];
                 }
             }
             return part;
         },
         combineVec);
 
-    // gA carried into the per-iteration loop; only the last iteration
-    // receives the member-specific term from the final matmul.
-    Tensor gA = Tensor::empty({n, k}, DType::kF32, g.device());
-    float *pgA = gA.rawData<float>();
-    parallelFor(0, n, grainFor(n, k), [&](int64_t cb, int64_t ce) {
-        for (int64_t i = cb; i < ce; ++i) {
-            for (int64_t j = 0; j < k; ++j) {
-                pgA[i * k + j] = pg[i] * c_final[static_cast<size_t>(j)];
-            }
+    // One member's backward through an iteration. @p ga holds the
+    // member's incoming gA row (g_i c_final in the last iteration, zero
+    // before) and is updated in place; writes the k centroid terms to
+    // @p cterm and returns the member's gw term.
+    auto memberBackward = [&](float wi, const float *arow, float *ga,
+                              const std::vector<float> &gn,
+                              const std::vector<float> &gm,
+                              const std::vector<float> &c_in,
+                              double *cterm) {
+        // gA += gn w_i + gm ; direct gw from nv.
+        double dot = 0.0;
+        double gw_acc = 0.0;
+        for (int64_t j = 0; j < k; ++j) {
+            ga[j] += gn[static_cast<size_t>(j)] * wi +
+                     gm[static_cast<size_t>(j)];
+            gw_acc += static_cast<double>(arow[j]) *
+                      gn[static_cast<size_t>(j)];
+            dot += static_cast<double>(ga[j]) * arow[j];
         }
-    });
+        // softmax backward + distance path.
+        for (int64_t j = 0; j < k; ++j) {
+            float gs = arow[j] * (ga[j] - static_cast<float>(dot));
+            float gdsq = -gs * inv_tau;
+            float d = wi - c_in[static_cast<size_t>(j)];
+            gw_acc += static_cast<double>(gdsq) * 2.0 * d;
+            cterm[j] = static_cast<double>(gdsq) * (-2.0) * d;
+        }
+        return static_cast<float>(gw_acc);
+    };
+
+    // In U mode the earlier iterations' terms are evaluated once per
+    // unique row and replayed; U <= 2^16 bounds the table at U*k doubles.
+    bool replay = pidx != nullptr;
+    std::vector<float> gw_term;
+    std::vector<double> c_terms;
 
     for (int it = num_iters - 1; it >= 0; --it) {
         const EdkmTape::Iter &iter = t.iters[static_cast<size_t>(it)];
+        bool last = it == num_iters - 1;
         std::vector<float> c_in = iter.cIn.toVector();
         std::vector<float> m = iter.m.toVector();
         std::vector<float> nv = iter.nv.toVector();
@@ -299,53 +317,59 @@ EdkmClusterNode::denseBackward(const Tensor &g)
                 nv[static_cast<size_t>(j)] / (mj * mj);
         }
 
-        Tensor a_t = (it == num_iters - 1)
-                         ? a_last
-                         : denseMap(iter, idx, w_dense);
+        Tensor a_t = last ? a_last : attentionRows(iter, values);
         const float *pa = a_t.rawData<const float>();
 
-        // Accumulate gA contributions of nv/m, then softmax backward,
-        // then the squared-distance path; gc for the next (earlier)
-        // iteration accumulates per chunk (rows i are disjoint).
+        if (!last && replay) {
+            // Earlier iterations carry no member-specific gA term, so a
+            // member's terms depend on its row alone.
+            gw_term.resize(static_cast<size_t>(rows));
+            c_terms.resize(static_cast<size_t>(rows * k));
+            parallelFor(0, rows, grainFor(rows, 8 * k),
+                        [&](int64_t cb, int64_t ce) {
+                std::vector<float> ga(static_cast<size_t>(k));
+                for (int64_t r = cb; r < ce; ++r) {
+                    std::fill(ga.begin(), ga.end(), 0.0f);
+                    gw_term[static_cast<size_t>(r)] = memberBackward(
+                        pv[r], pa + r * k, ga.data(), gn, gm, c_in,
+                        c_terms.data() + r * k);
+                }
+            });
+        }
+
+        // gc for the next (earlier) iteration accumulates per chunk in
+        // row order (rows i are disjoint).
         gc = parallelReduce<std::vector<double>>(
             0, n, row_grain,
             std::vector<double>(static_cast<size_t>(k), 0.0),
             [&](int64_t cb, int64_t ce) {
                 std::vector<double> part(static_cast<size_t>(k), 0.0);
+                std::vector<float> ga(static_cast<size_t>(k));
+                std::vector<double> cterm(static_cast<size_t>(k));
                 for (int64_t i = cb; i < ce; ++i) {
-                    float wi = pw[i];
-                    float *grow = pgA + i * k;
-                    const float *arow = pa + i * k;
-                    // gA += gn w_i + gm ; direct gw from nv.
-                    double dot = 0.0;
-                    double gw_acc = 0.0;
-                    for (int64_t j = 0; j < k; ++j) {
-                        grow[j] += gn[static_cast<size_t>(j)] * wi +
-                                   gm[static_cast<size_t>(j)];
-                        gw_acc += static_cast<double>(arow[j]) *
-                                  gn[static_cast<size_t>(j)];
-                        dot += static_cast<double>(grow[j]) * arow[j];
+                    int64_t r = rowOf(i);
+                    const double *ct = cterm.data();
+                    if (!last && replay) {
+                        pgw[i] += gw_term[static_cast<size_t>(r)];
+                        ct = c_terms.data() + r * k;
+                    } else {
+                        for (int64_t j = 0; j < k; ++j) {
+                            ga[static_cast<size_t>(j)] =
+                                last ? pg[i] *
+                                           c_final[static_cast<size_t>(j)]
+                                     : 0.0f;
+                        }
+                        pgw[i] += memberBackward(pv[r], pa + r * k,
+                                                 ga.data(), gn, gm, c_in,
+                                                 cterm.data());
                     }
-                    // softmax backward + distance path.
                     for (int64_t j = 0; j < k; ++j) {
-                        float gs = arow[j] *
-                                   (grow[j] - static_cast<float>(dot));
-                        float gdsq = -gs * inv_tau;
-                        float d = wi - c_in[static_cast<size_t>(j)];
-                        gw_acc += static_cast<double>(gdsq) * 2.0 * d;
-                        part[static_cast<size_t>(j)] +=
-                            static_cast<double>(gdsq) * (-2.0) * d;
+                        part[static_cast<size_t>(j)] += ct[j];
                     }
-                    pgw[i] += static_cast<float>(gw_acc);
                 }
                 return part;
             },
             combineVec);
-
-        if (it > 0) {
-            // Earlier iterations receive no member-specific gA term.
-            gA.fill(0.0f);
-        }
     }
     // Dense backward touches ~8 values per (weight, centroid) pair and
     // iteration.

@@ -20,12 +20,21 @@
  *    back for backward; the simulation regenerates them deterministically
  *    and accounts the communication (src/dist).
  *
- *  - Backward modes: kReconstruct (paper-faithful) transiently rebuilds
- *    the dense attention map with a gather so the standard dense backward
- *    formulas apply ("to stay compatible with the existing autograd
- *    implementation"); kFused (our extension) evaluates the backward
- *    entirely in table space, never materialising |W| x |C|. Both produce
- *    identical gradients (see tests/test_edkm.cc).
+ *  - Backward modes: kReconstruct (paper-faithful) applies the standard
+ *    dense backward formulas member by member, in member order ("to stay
+ *    compatible with the existing autograd implementation"), but reads
+ *    each member's dense attention row straight from the saved table
+ *    (row idx[i]) instead of gathering the |W| x |C| map; the gA row
+ *    stays a k-float local. Iterations before the last carry no
+ *    member-specific gA term, so their per-member gradient terms are
+ *    computed once per unique value and replayed in member order. The
+ *    result is bit-identical to materialising the map (see
+ *    tests/test_edkm.cc) as long as neither side contracts multiplies
+ *    and adds into FMAs; the build compiles edkm.cc and that test with
+ *    -ffp-contract=off. Without uniquification the saved dense map is
+ *    read directly. kFused (our extension) evaluates the backward
+ *    entirely in table space, reassociating the member sums per unique
+ *    value. Both agree up to float association.
  *
  * Saved tensors flow through SavedTensor, hence through any installed
  * marshaling context (section 2.1) — benches install MarshalContext to
@@ -68,7 +77,7 @@ struct EdkmConfig
 
     /** How backward consumes the saved representation. */
     enum class BackwardMode {
-        kReconstruct, ///< paper: rebuild the dense map transiently
+        kReconstruct, ///< paper: dense formulas, rows read from the table
         kFused,       ///< extension: stay in table space
     };
     BackwardMode backwardMode = BackwardMode::kReconstruct;

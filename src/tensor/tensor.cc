@@ -24,6 +24,113 @@ shapeNumel(const Shape &shape)
     return n;
 }
 
+/** Side of the square tiles a strided 2-D copy walks. */
+constexpr int64_t kCopyTile = 32;
+
+/**
+ * Copy a [rows, cols] view with element strides (@p rs, @p cs) from
+ * @p src into the row-major buffer @p dst, @p E bytes per element. Rows
+ * with unit column stride are copied whole; otherwise the view is
+ * walked in square tiles so a transpose touches each cache line of
+ * both sides once per tile instead of once per element.
+ */
+template <size_t E>
+void
+copyView2d(const std::byte *src, int64_t rows, int64_t cols, int64_t rs,
+           int64_t cs, std::byte *dst)
+{
+    if (cs == 1) {
+        for (int64_t r = 0; r < rows; ++r) {
+            std::memcpy(dst + r * cols * E, src + r * rs * E,
+                        static_cast<size_t>(cols) * E);
+        }
+        return;
+    }
+    for (int64_t r0 = 0; r0 < rows; r0 += kCopyTile) {
+        int64_t r1 = std::min(rows, r0 + kCopyTile);
+        for (int64_t c0 = 0; c0 < cols; c0 += kCopyTile) {
+            int64_t c1 = std::min(cols, c0 + kCopyTile);
+            for (int64_t r = r0; r < r1; ++r) {
+                for (int64_t c = c0; c < c1; ++c) {
+                    std::memcpy(dst + (r * cols + c) * E,
+                                src + (r * rs + c * cs) * E, E);
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Copy the logical contents of @p t, row-major, into the contiguous
+ * buffer @p dst, bytes unchanged. Unit dims are dropped and neighbours
+ * that walk memory as one dim are merged, so a contiguous tensor is one
+ * memcpy; the innermost two remaining dims are copied as 2-D views, the
+ * outer ones iterated in order.
+ */
+template <size_t E>
+void
+copyLogical(const Tensor &t, std::byte *dst)
+{
+    if (t.numel() == 0) {
+        return;
+    }
+    Shape size, stride;
+    for (size_t d = 0; d < t.shape().size(); ++d) {
+        int64_t sz = t.shape()[d], st = t.strides()[d];
+        if (sz == 1) {
+            continue;
+        }
+        if (!size.empty() && stride.back() == st * sz) {
+            size.back() *= sz;
+            stride.back() = st;
+        } else {
+            size.push_back(sz);
+            stride.push_back(st);
+        }
+    }
+    while (size.size() < 2) {
+        size.insert(size.begin(), 1);
+        stride.insert(stride.begin(), 0);
+    }
+    size_t rank = size.size();
+    int64_t rows = size[rank - 2], cols = size[rank - 1];
+    int64_t outer = t.numel() / (rows * cols);
+    const std::byte *src =
+        t.storagePtr()->data() + t.offset() * static_cast<int64_t>(E);
+    std::vector<int64_t> pos(rank - 2, 0);
+    int64_t base = 0;
+    for (int64_t o = 0; o < outer; ++o) {
+        copyView2d<E>(src + base * static_cast<int64_t>(E), rows, cols,
+                      stride[rank - 2], stride[rank - 1],
+                      dst + o * rows * cols * static_cast<int64_t>(E));
+        for (size_t d = rank - 2; d-- > 0;) {
+            base += stride[d];
+            if (++pos[d] < size[d]) {
+                break;
+            }
+            base -= stride[d] * size[d];
+            pos[d] = 0;
+        }
+    }
+}
+
+/** copyLogical dispatched on @p t's element size. */
+void
+copyLogical(const Tensor &t, std::byte *dst)
+{
+    switch (dtypeSize(t.dtype())) {
+      case 1:
+        return copyLogical<1>(t, dst);
+      case 2:
+        return copyLogical<2>(t, dst);
+      case 4:
+        return copyLogical<4>(t, dst);
+      case 8:
+        return copyLogical<8>(t, dst);
+    }
+    panic("copyLogical: bad element size");
+}
+
 } // namespace
 
 float
@@ -421,15 +528,7 @@ Tensor::contiguous() const
     if (isContiguous()) {
         return *this;
     }
-    Tensor out = empty(shape_, dtype_, device());
-    int64_t n = numel();
-    const std::byte *src = storage_->data();
-    std::byte *dst = out.storage_->data();
-    for (int64_t i = 0; i < n; ++i) {
-        storeElement(dst, i, dtype_, loadElement(src, elementIndex(i),
-                                                 dtype_));
-    }
-    return out;
+    return clone();
 }
 
 Tensor
@@ -437,19 +536,7 @@ Tensor::clone() const
 {
     EDKM_CHECK(defined(), "clone() on undefined tensor");
     Tensor out = empty(shape_, dtype_, device());
-    if (isContiguous()) {
-        std::memcpy(out.storage_->data(),
-                    storage_->data() + offset_ * dtypeSize(dtype_),
-                    static_cast<size_t>(numel() * dtypeSize(dtype_)));
-    } else {
-        const std::byte *src = storage_->data();
-        std::byte *dst = out.storage_->data();
-        int64_t n = numel();
-        for (int64_t i = 0; i < n; ++i) {
-            storeElement(dst, i, dtype_,
-                         loadElement(src, elementIndex(i), dtype_));
-        }
-    }
+    copyLogical(*this, out.storage_->data());
     return out;
 }
 
@@ -461,20 +548,9 @@ Tensor::to(Device dev) const
         return *this; // PyTorch semantics: no copy when same device
     }
     Tensor out = empty(shape_, dtype_, dev);
-    const std::byte *src = storage_->data();
-    std::byte *dst = out.storage_->data();
-    int64_t n = numel();
-    if (isContiguous()) {
-        std::memcpy(dst, src + offset_ * dtypeSize(dtype_),
-                    static_cast<size_t>(n * dtypeSize(dtype_)));
-    } else {
-        for (int64_t i = 0; i < n; ++i) {
-            storeElement(dst, i, dtype_,
-                         loadElement(src, elementIndex(i), dtype_));
-        }
-    }
+    copyLogical(*this, out.storage_->data());
     DeviceManager::instance().recordTransfer(device(), dev,
-                                             n * dtypeSize(dtype_));
+                                             numel() * dtypeSize(dtype_));
     return out;
 }
 

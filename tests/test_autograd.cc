@@ -6,12 +6,14 @@
  */
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <gtest/gtest.h>
 
 #include "autograd/engine.h"
 #include "autograd/functional.h"
 #include "autograd/node.h"
+#include "device/device_manager.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
@@ -287,6 +289,34 @@ class CountingHooks : public SavedTensorHooks
     int packs = 0;
     int unpacks = 0;
 };
+
+TEST(Autograd, ConstantInputGetsNoGradient)
+{
+    // loss = sum(x W^T): with x constant the backward computes only
+    // dW = g^T x, one [m,k]x[k,n]-sized product instead of two.
+    const int64_t m = 8, k = 32, n = 16;
+    Tensor x0 = Tensor::randn({m, k}, rng());
+    Tensor w0 = Tensor::randn({n, k}, rng());
+    DeviceManager &mgr = DeviceManager::instance();
+    auto run = [&](bool x_grad) {
+        Variable x(x0.clone(), x_grad);
+        Variable w(w0.clone(), true);
+        Variable loss = af::sumAll(af::matmul(x, af::transpose(w, 0, 1)));
+        mgr.resetStats();
+        backward(loss);
+        EXPECT_EQ(x.grad().defined(), x_grad);
+        return std::make_pair(mgr.simulatedSeconds(), w.grad());
+    };
+    auto [both_s, both_grad] = run(true);
+    auto [const_s, const_grad] = run(false);
+    double product_s = mgr.costModel().computeSeconds(
+        2.0 * static_cast<double>(m * k * n), Device::cpu());
+    EXPECT_DOUBLE_EQ(both_s, 2.0 * product_s);
+    EXPECT_DOUBLE_EQ(const_s, product_s);
+    std::vector<float> a = both_grad.toVector(), b = const_grad.toVector();
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+}
 
 TEST(Autograd, SavedTensorHooksInterceptSaves)
 {

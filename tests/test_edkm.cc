@@ -7,14 +7,21 @@
  * techniques are lossless re-encodings of what is saved for backward).
  */
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <gtest/gtest.h>
 
 #include "autograd/engine.h"
 #include "autograd/functional.h"
 #include "core/dkm.h"
 #include "core/edkm.h"
+#include "core/uniquify.h"
 #include "device/device_manager.h"
+#include "kernels/attention.h"
+#include "kernels/kernels.h"
 #include "marshal/marshal.h"
+#include "runtime/runtime.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -32,6 +39,19 @@ bf16Weights(int64_t n, uint64_t seed)
         float center =
             static_cast<float>(rng.randint(0, 7)) * 0.02f - 0.07f;
         w.setFlatAt(i, center + rng.normal(0.0f, 0.002f));
+    }
+    return w.to(DType::kBf16).to(DType::kF32);
+}
+
+/** bf16 weights of both signs spread log-uniformly over 12 binades:
+ *  most members get a 16-bit pattern of their own. */
+Tensor
+logUniformWeights(int64_t n, Rng &rng)
+{
+    Tensor w = Tensor::empty({n});
+    for (int64_t i = 0; i < n; ++i) {
+        float mag = std::exp2(rng.uniform() * 12.0f - 12.0f);
+        w.setFlatAt(i, i % 2 == 0 ? mag : -mag);
     }
     return w.to(DType::kBf16).to(DType::kF32);
 }
@@ -64,6 +84,172 @@ run(Layer &layer, const Tensor &w, const Tensor &upstream)
     Variable loss = af::sumAll(af::mul(out, af::constant(upstream)));
     backward(loss);
     return {out.data(), wv.grad()};
+}
+
+/**
+ * Reference for the kReconstruct backward: the materializing algorithm
+ * it replaced. Re-runs EdkmLayer's forward with the same kernels, then
+ * gathers every iteration's dense [n,k] attention map from its table
+ * and runs the dense backward loops over a full [n,k] gA tensor, with
+ * the same chunking. W~ and dW must match EdkmLayer bit for bit.
+ */
+RunResult
+materializedReference(const EdkmConfig &cfg, const Tensor &w,
+                      const Tensor &upstream)
+{
+    using runtime::grainFor;
+    int64_t n = w.numel(), k = int64_t{1} << cfg.dkm.bits;
+    UniqueDecomposition dec = uniquify(w, cfg.halfKind);
+    std::vector<float> u_vals =
+        cfg.uniquify ? dec.values : w.toVector();
+    std::vector<float> u_cnts =
+        cfg.uniquify ? dec.counts
+                     : std::vector<float>(static_cast<size_t>(n), 1.0f);
+    auto U = static_cast<int64_t>(u_vals.size());
+    std::vector<float> cw(static_cast<size_t>(U));
+    for (size_t r = 0; r < cw.size(); ++r) {
+        cw[r] = u_cnts[r] * u_vals[r];
+    }
+    float tau = DkmLayer::resolveTemperature(cfg.dkm, dec.values,
+                                             dec.counts);
+    Tensor u_col = Tensor::fromVector(u_vals, {U, 1});
+    Tensor cnt_row = Tensor::fromVector(u_cnts, {1, U});
+    Tensor cw_row = Tensor::fromVector(cw, {1, U});
+
+    struct Iter
+    {
+        Tensor table;
+        std::vector<float> c_in, m, nv;
+    };
+    std::vector<Iter> iters;
+    Tensor c = Tensor::fromVector(
+        DkmLayer::initCentroids(dec.values, dec.counts, cfg.dkm), {k});
+    for (int it = 0; it < cfg.dkm.maxIters; ++it) {
+        Tensor table = kernels::attentionTable(u_col, c.view({1, k}), tau);
+        Tensor m = matmul(cnt_row, table).view({k});
+        Tensor nv = matmul(cw_row, table).view({k});
+        Tensor c_new = div(nv, addScalar(m, 1e-12f));
+        iters.push_back({table, c.toVector(), m.toVector(), nv.toVector()});
+        float delta = maxAbsDiff(c_new, c);
+        c = c_new;
+        if (delta < cfg.dkm.convergenceEps) {
+            break;
+        }
+    }
+    auto dense_map = [&](const Tensor &table) {
+        return cfg.uniquify ? kernels::gatherTableRows(table, dec.indexList)
+                            : table;
+    };
+    auto densify = [&](const Tensor &per_row) {
+        if (!cfg.uniquify) {
+            return per_row;
+        }
+        Tensor out = Tensor::empty({n});
+        kernels::gatherU16(per_row.rawData<const float>(),
+                           dec.indexList.rawData<const uint16_t>(), n,
+                           out.rawData<float>());
+        return out;
+    };
+
+    RunResult res;
+    res.output =
+        densify(matmul(iters.back().table, c.view({k, 1})).view({U}));
+    Tensor w_dense = densify(u_col.view({U}));
+    const float *pw = w_dense.rawData<const float>();
+    const float *pg = upstream.rawData<const float>();
+    std::vector<float> c_final = c.toVector();
+
+    auto combine = [](std::vector<double> a, std::vector<double> b) {
+        for (size_t i = 0; i < a.size(); ++i) {
+            a[i] += b[i];
+        }
+        return a;
+    };
+    Tensor gw = Tensor::zeros({n});
+    float *pgw = gw.rawData<float>();
+    Tensor a_last = dense_map(iters.back().table);
+    const float *pa_last = a_last.rawData<const float>();
+    int64_t row_grain = grainFor(n, 8 * k);
+    std::vector<double> gc = runtime::parallelReduce<std::vector<double>>(
+        0, n, row_grain, std::vector<double>(static_cast<size_t>(k), 0.0),
+        [&](int64_t cb, int64_t ce) {
+            std::vector<double> part(static_cast<size_t>(k), 0.0);
+            for (int64_t i = cb; i < ce; ++i) {
+                for (int64_t j = 0; j < k; ++j) {
+                    part[static_cast<size_t>(j)] +=
+                        static_cast<double>(pg[i]) * pa_last[i * k + j];
+                }
+            }
+            return part;
+        },
+        combine);
+
+    Tensor gA = Tensor::empty({n, k});
+    float *pgA = gA.rawData<float>();
+    for (int64_t i = 0; i < n; ++i) {
+        for (int64_t j = 0; j < k; ++j) {
+            pgA[i * k + j] = pg[i] * c_final[static_cast<size_t>(j)];
+        }
+    }
+    float inv_tau = 1.0f / tau;
+    int num_iters = static_cast<int>(iters.size());
+    for (int it = num_iters - 1; it >= 0; --it) {
+        const Iter &iter = iters[static_cast<size_t>(it)];
+        std::vector<float> gn(static_cast<size_t>(k));
+        std::vector<float> gm(static_cast<size_t>(k));
+        for (size_t j = 0; j < gn.size(); ++j) {
+            float mj = std::max(iter.m[j], 1e-12f);
+            gn[j] = static_cast<float>(gc[j]) / mj;
+            gm[j] = -static_cast<float>(gc[j]) * iter.nv[j] / (mj * mj);
+        }
+        Tensor a_t = it == num_iters - 1 ? a_last : dense_map(iter.table);
+        const float *pa = a_t.rawData<const float>();
+        gc = runtime::parallelReduce<std::vector<double>>(
+            0, n, row_grain,
+            std::vector<double>(static_cast<size_t>(k), 0.0),
+            [&](int64_t cb, int64_t ce) {
+                std::vector<double> part(static_cast<size_t>(k), 0.0);
+                for (int64_t i = cb; i < ce; ++i) {
+                    float wi = pw[i];
+                    float *grow = pgA + i * k;
+                    const float *arow = pa + i * k;
+                    double dot = 0.0;
+                    double gw_acc = 0.0;
+                    for (int64_t j = 0; j < k; ++j) {
+                        size_t js = static_cast<size_t>(j);
+                        grow[j] += gn[js] * wi + gm[js];
+                        gw_acc += static_cast<double>(arow[j]) * gn[js];
+                        dot += static_cast<double>(grow[j]) * arow[j];
+                    }
+                    for (int64_t j = 0; j < k; ++j) {
+                        size_t js = static_cast<size_t>(j);
+                        float gs =
+                            arow[j] * (grow[j] - static_cast<float>(dot));
+                        float gdsq = -gs * inv_tau;
+                        float d = wi - iter.c_in[js];
+                        gw_acc += static_cast<double>(gdsq) * 2.0 * d;
+                        part[js] += static_cast<double>(gdsq) * (-2.0) * d;
+                    }
+                    pgw[i] += static_cast<float>(gw_acc);
+                }
+                return part;
+            },
+            combine);
+        if (it > 0) {
+            gA.fill(0.0f);
+        }
+    }
+    res.grad = gw;
+    return res;
+}
+
+bool
+sameBytes(const Tensor &a, const Tensor &b)
+{
+    std::vector<float> va = a.toVector(), vb = b.toVector();
+    return va.size() == vb.size() &&
+           std::memcmp(va.data(), vb.data(), va.size() * sizeof(float)) ==
+               0;
 }
 
 class EdkmEquivalence : public ::testing::Test
@@ -264,6 +450,81 @@ TEST_F(EdkmEquivalence, PalettizeAfterTraining)
     EXPECT_EQ(p.bits(), 3);
     // Hard assignment error is bounded on clusterable data.
     EXPECT_LT(maxAbsDiff(p.decompress(), w.view({600})), 0.05f);
+}
+
+TEST(EdkmReconstruct, StreamedBackwardMatchesMaterializedReference)
+{
+    DeviceManager::instance().resetAll();
+    Rng rng(123);
+    std::vector<std::pair<const char *, Tensor>> weights = {
+        {"one unique value", Tensor::full({2048}, 0.03125f)},
+        {"clustered", bf16Weights(600, 91)},
+        {"randn", Tensor::randn({8192}, rng, Device::cpu(), 0.02f)
+                      .to(DType::kBf16)
+                      .to(DType::kF32)},
+        {"log-uniform", logUniformWeights(2048, rng)},
+    };
+    auto group = std::make_shared<LearnerGroup>(4);
+    for (const auto &[name, w] : weights) {
+        Rng up(9);
+        Tensor upstream = Tensor::randn({w.numel()}, up);
+        for (bool uniq : {true, false}) {
+            for (bool shard : {false, true}) {
+                for (int bits : {2, 3, 4}) {
+                    for (int iters : {1, 3}) {
+                        SCOPED_TRACE(::testing::Message()
+                                     << name << " U=" << uniq
+                                     << " S=" << shard << " bits=" << bits
+                                     << " iters=" << iters);
+                        EdkmConfig cfg;
+                        cfg.dkm.bits = bits;
+                        cfg.dkm.maxIters = iters;
+                        cfg.dkm.convergenceEps = 0.0f;
+                        cfg.uniquify = uniq;
+                        cfg.shard = shard;
+                        EdkmLayer layer(cfg, group);
+                        RunResult got = run(layer, w, upstream);
+                        RunResult ref =
+                            materializedReference(cfg, w, upstream);
+                        EXPECT_TRUE(sameBytes(got.output, ref.output));
+                        EXPECT_TRUE(sameBytes(got.grad, ref.grad));
+                    }
+                }
+            }
+        }
+    }
+    // The last two weights read thousands of table rows.
+    EXPECT_GT(uniquify(weights[2].second, HalfKind::kBf16).uniqueCount(),
+              1000);
+    EXPECT_GT(uniquify(weights[3].second, HalfKind::kBf16).uniqueCount(),
+              1000);
+}
+
+TEST(EdkmReconstruct, UniquifiedBackwardAllocatesNoDenseMap)
+{
+    DeviceManager::instance().resetAll();
+    const int64_t n = int64_t{1} << 18;
+    Rng rng(77);
+    Tensor w = Tensor::randn({n}, rng, Device::cpu(), 0.02f)
+                   .to(DType::kBf16)
+                   .to(DType::kF32)
+                   .to(Device::gpu(0));
+    Tensor upstream = Tensor::randn({n}, rng).to(Device::gpu(0));
+    EdkmConfig cfg;
+    cfg.dkm.bits = 3; // k = 8
+    cfg.dkm.maxIters = 3;
+    cfg.dkm.convergenceEps = 0.0f;
+    cfg.uniquify = true;
+    cfg.backwardMode = EdkmConfig::BackwardMode::kReconstruct;
+    EdkmLayer layer(cfg);
+    Variable wv(w, true);
+    Variable loss =
+        af::sumAll(af::mul(layer.forward(wv), af::constant(upstream)));
+    StatsScope scope(Device::gpu(0));
+    backward(loss);
+    const int64_t dense_map_bytes = n * 8 * 4;
+    EXPECT_LT(scope.peakDelta(), dense_map_bytes);
+    EXPECT_TRUE(wv.grad().defined());
 }
 
 /** Parameterized sweep: equivalence holds across bit widths. */

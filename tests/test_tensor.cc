@@ -5,6 +5,7 @@
  * conversion, and device transfer accounting.
  */
 
+#include <cstring>
 #include <gtest/gtest.h>
 
 #include "device/device_manager.h"
@@ -179,6 +180,72 @@ TEST_F(TensorTest, NonContiguousToDevice)
     Tensor cpu = tt.to(Device::cpu());
     EXPECT_TRUE(cpu.isContiguous());
     EXPECT_EQ(cpu.at({0, 1}), 3.0f); // logical content preserved
+}
+
+/** @p v's logical contents, element by element through flatAt. */
+Tensor
+flatAtCopy(const Tensor &v)
+{
+    Tensor ref = Tensor::empty(v.shape(), v.dtype());
+    for (int64_t i = 0; i < v.numel(); ++i) {
+        ref.setFlatAt(i, v.flatAt(i));
+    }
+    return ref;
+}
+
+/** First byte of @p t's data (offset applied). */
+const std::byte *
+firstByte(const Tensor &t)
+{
+    return t.storagePtr()->data() + t.offset() * dtypeSize(t.dtype());
+}
+
+bool
+sameBytes(const Tensor &a, const Tensor &b)
+{
+    return a.isContiguous() && b.isContiguous() && a.shape() == b.shape() &&
+           a.dtype() == b.dtype() &&
+           std::memcmp(firstByte(a), firstByte(b),
+                       static_cast<size_t>(a.numel()) *
+                           dtypeSize(a.dtype())) == 0;
+}
+
+TEST_F(TensorTest, StridedCopiesMatchElementwiseReference)
+{
+    for (DType dt : {DType::kF32, DType::kBf16, DType::kU16}) {
+        auto make = [&](Shape shape) {
+            Tensor t = Tensor::empty(shape, dt);
+            for (int64_t i = 0; i < t.numel(); ++i) {
+                t.setFlatAt(i, dt == DType::kU16
+                                   ? static_cast<float>(rng.randint(0, 65535))
+                                   : rng.normal(0.0f, 1.0f));
+            }
+            return t;
+        };
+        Tensor a = make({33, 65}), wide = make({1, 70}), tall = make({70, 1});
+        Tensor cube = make({4, 5, 6});
+        std::vector<std::pair<const char *, Tensor>> views = {
+            {"33x65 transpose", a.transpose(0, 1)},
+            {"1xN transpose", wide.transpose(0, 1)},
+            {"Nx1 transpose", tall.transpose(0, 1)},
+            {"column slice", a.slice(1, 3, 64)},
+            {"row slice", a.slice(0, 5, 30)},
+            {"sliced transpose", a.slice(0, 2, 31).transpose(0, 1)},
+            {"column select", a.select(1, 7)},
+            {"3-d permute", cube.permute({2, 0, 1})},
+            {"sliced 3-d permute", cube.slice(1, 1, 4).permute({1, 2, 0})},
+        };
+        for (const auto &[name, v] : views) {
+            SCOPED_TRACE(::testing::Message()
+                         << name << " " << dtypeName(dt));
+            Tensor ref = flatAtCopy(v);
+            EXPECT_TRUE(sameBytes(v.contiguous(), ref));
+            EXPECT_TRUE(sameBytes(v.clone(), ref));
+            Tensor moved = v.to(Device::gpu(0));
+            EXPECT_EQ(moved.device(), Device::gpu(0));
+            EXPECT_TRUE(sameBytes(moved.to(Device::cpu()), ref));
+        }
+    }
 }
 
 TEST_F(TensorTest, WrapStorageReconstructsViews)
