@@ -18,7 +18,6 @@
 #ifndef EDKM_API_COMPRESSOR_H_
 #define EDKM_API_COMPRESSOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -32,20 +31,10 @@
 #include "eval/train.h"
 #include "nn/transformer.h"
 #include "tensor/tensor.h"
+#include "util/cancel.h"
 
 namespace edkm {
 namespace api {
-
-/** Cooperative cancellation flag shared between caller and run. */
-class CancelToken
-{
-  public:
-    void requestCancel() { cancelled_.store(true); }
-    bool cancelled() const { return cancelled_.load(); }
-
-  private:
-    std::atomic<bool> cancelled_{false};
-};
 
 /** Thrown when a run observes its CancelToken (see Session::run). */
 class CancelledError : public std::runtime_error

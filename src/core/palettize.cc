@@ -1,8 +1,6 @@
 #include "core/palettize.h"
 
 #include <atomic>
-#include <cctype>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
@@ -286,43 +284,7 @@ namespace {
 
 std::atomic<int64_t> g_fused_calls{0};
 
-/** Startup default for the fused m==1 decode: on unless the escape
- *  hatch EDKM_FUSED_DECODE=off|0|false|staged is set. */
-bool
-envFusedDecodeDefault()
-{
-    const char *env = std::getenv("EDKM_FUSED_DECODE");
-    if (env == nullptr) {
-        return true;
-    }
-    std::string v;
-    for (const char *c = env; *c; ++c) {
-        v.push_back(static_cast<char>(
-            std::tolower(static_cast<unsigned char>(*c))));
-    }
-    return !(v == "off" || v == "0" || v == "false" || v == "staged");
-}
-
-std::atomic<bool> &
-fusedDecodeFlag()
-{
-    static std::atomic<bool> f{envFusedDecodeDefault()};
-    return f;
-}
-
 } // namespace
-
-void
-setPaletteFusedDecode(bool on)
-{
-    fusedDecodeFlag().store(on, std::memory_order_relaxed);
-}
-
-bool
-paletteFusedDecodeEnabled()
-{
-    return fusedDecodeFlag().load(std::memory_order_relaxed);
-}
 
 int64_t
 paletteFusedCalls()
@@ -373,18 +335,11 @@ paletteMatmulT(const Tensor &x, const PaletteView &w)
     // The fused kernel covers the m==1 decode with >1 output column
     // (out == 1 takes matmulStreamed's fixed-lane matvec path, whose
     // accumulation order the fused column chain does not replay).
-    if (xc.size(0) != 1 || out == 1 || !paletteFusedDecodeEnabled()) {
+    if (xc.size(0) != 1 || out == 1) {
         return paletteMatmulTStaged(xc, w);
     }
     g_fused_calls.fetch_add(1, std::memory_order_relaxed);
     kernels::PaletteDotFn fn = kernels::active().paletteDotFused;
-    if (kernels::fastMathEnabled()) {
-        // Explicit opt-in only: trades bit-identity for FMA throughput
-        // (see kernels_fastmath.cc). Never reached by default.
-        if (kernels::PaletteDotFn fast = kernels::fastMathPaletteDot()) {
-            fn = fast;
-        }
-    }
     Tensor outT = Tensor::empty({1, out}, DType::kF32, xc.device());
     const float *px = xc.rawData<float>();
     const float *lut = w.lut.data();

@@ -135,27 +135,20 @@ PaletteView viewOf(const PalettizedTensor &p);
  *     multiply-accumulate straight into the output, no staging buffer
  *     (kernels::KernelTable::paletteDotFused, parallel over disjoint
  *     output-column ranges).
- *   - everything else (prefill, batched decode, single-output), or
- *     when the fused path is disabled: the staged path — index tiles
- *     decoded through gatherU16 and streamed through matmulStreamed.
+ *   - everything else (prefill, batched decode, single-output): the
+ *     staged path — index tiles decoded through gatherU16 and streamed
+ *     through matmulStreamed.
  */
 Tensor paletteMatmulT(const Tensor &x, const PaletteView &w);
 
 /** The always-staged reference path (decode tiles, then accumulate);
  *  what paletteMatmulT uses outside the fused m==1 case. Exposed so
- *  tests and benches can A/B the two in one process. */
+ *  tests can check the two paths against each other in one process. */
 Tensor paletteMatmulTStaged(const Tensor &x, const PaletteView &w);
 
-/** Programmatic switch for the fused m==1 decode path. Defaults to on
- *  unless EDKM_FUSED_DECODE=off|0|false|staged is set at startup. Both
- *  paths are bit-identical (ctest-gated), so this is an A/B and escape
- *  hatch, never a numerics knob. */
-void setPaletteFusedDecode(bool on);
-bool paletteFusedDecodeEnabled();
-
-/** Process-wide count of decodes served by the fused kernel (bench and
- *  stats observability; serve::EngineStats::fusedDecodes is derived
- *  from deltas of this). */
+/** Process-wide count of decodes served by the fused kernel (stats
+ *  observability; serve::EngineStats::fusedDecodes is derived from
+ *  deltas of this). */
 int64_t paletteFusedCalls();
 
 /**

@@ -1,6 +1,5 @@
 #include "kernels/kernels.h"
 
-#include <atomic>
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
@@ -21,11 +20,6 @@ const KernelTable &avx512KernelTable(); // defined in kernels_avx512.cc
 #if defined(EDKM_HAVE_NEON)
 const KernelTable &neonKernelTable(); // defined in kernels_neon.cc
 #endif
-
-// Always linked (kernels_fastmath.cc compiles to nullptr stubs when the
-// variant is configured out).
-PaletteDotFn fastMathPaletteDotImpl();
-const char *fastMathVariantNameImpl();
 
 namespace {
 
@@ -233,56 +227,6 @@ availableBackends()
         out.push_back(Backend::kNeon);
     }
     return out;
-}
-
-// ----------------------------------------------------------------------
-// Fast-math opt-in state.
-// ----------------------------------------------------------------------
-
-namespace {
-
-bool
-envFastMathOptIn()
-{
-    const char *env = std::getenv("EDKM_FAST_MATH");
-    if (env == nullptr) {
-        return false;
-    }
-    std::string v = lowered(env);
-    return v == "1" || v == "on" || v == "true" || v == "yes";
-}
-
-std::atomic<bool> &
-fastMathFlag()
-{
-    static std::atomic<bool> f{envFastMathOptIn()};
-    return f;
-}
-
-} // namespace
-
-PaletteDotFn
-fastMathPaletteDot()
-{
-    return fastMathPaletteDotImpl();
-}
-
-const char *
-fastMathVariantName()
-{
-    return fastMathVariantNameImpl();
-}
-
-bool
-fastMathEnabled()
-{
-    return fastMathFlag().load(std::memory_order_relaxed);
-}
-
-void
-setFastMath(bool on)
-{
-    fastMathFlag().store(on, std::memory_order_relaxed);
 }
 
 void

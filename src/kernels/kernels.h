@@ -195,31 +195,6 @@ const KernelTable &table(Backend b);
 std::vector<Backend> availableBackends();
 
 // ----------------------------------------------------------------------
-// Opt-in fast-math palette decode (EDKM_FAST_MATH).
-// ----------------------------------------------------------------------
-
-/**
- * The relaxed palette-decode variant: FMA plus reassociated partial
- * accumulators, deliberately NOT bit-identical to the contract path.
- * Returns nullptr when compiled out (-DEDKM_FAST_MATH=OFF) or when the
- * CPU lacks the ISA it was built for. It is never part of any
- * KernelTable — callers (core/palettize.cc) reach it only when
- * fastMathEnabled() says the process explicitly opted in.
- */
-PaletteDotFn fastMathPaletteDot();
-
-/** Variant name for bench rows ("avx2-fma", "portable-fma"); nullptr
- *  when fastMathPaletteDot() is. */
-const char *fastMathVariantName();
-
-/** Whether the process opted into the fast-math variant: EDKM_FAST_MATH
- *  =1|on|true|yes in the environment at startup, or setFastMath(true).
- *  Default off — the bit-identity contract holds unless a human asked
- *  to trade it away. */
-bool fastMathEnabled();
-void setFastMath(bool on);
-
-// ----------------------------------------------------------------------
 // Layout helpers with no per-backend variance.
 // ----------------------------------------------------------------------
 

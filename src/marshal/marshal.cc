@@ -18,8 +18,10 @@ namespace edkm {
  * with the autograd graph (matching PyTorch packed-object lifetime).
  *
  * With asyncOffload the copy job may still be in flight: `ready` joins
- * it. The job holds a shared_ptr to the entry, so destruction never
- * races the copy.
+ * it. The job holds only a raw pointer to the entry and the destructor
+ * joins `ready` first, so destruction never races the copy, and once
+ * `ready` is set the job holds no reference: use_count() is then a
+ * function of the owners alone.
  */
 struct MarshalContext::CpuEntry
 {
@@ -138,12 +140,11 @@ MarshalContext::dispatchCopy(const std::shared_ptr<CpuEntry> &entry,
         return;
     }
     ++stats_.asyncCopies;
-    // The job holds the entry alive; the shared future joins it from
-    // unpack (per entry) or sync (all).
+    // The shared future joins the job from unpack (per entry), sync
+    // (all) or ~CpuEntry.
     std::shared_ptr<runtime::ThreadPool> pool =
         runtime::Runtime::instance().pool();
-    entry->ready =
-        pool->submit([entry, job = std::move(copy)] { job(); }).share();
+    entry->ready = pool->submit(std::move(copy)).share();
     // Drop already-finished futures so pending_ tracks in-flight work
     // instead of the context's whole copy history; failures of pruned
     // copies are parked for the next sync() to rethrow.
@@ -178,9 +179,9 @@ MarshalContext::copyLogical(const std::shared_ptr<CpuEntry> &entry,
 {
     Device dst = config_.offloadDevice;
     auto counter = resident_bytes_;
-    dispatchCopy(entry, [entry, t, dst, counter] {
-        entry->cpuTensor = t.to(dst);
-        counter->fetch_add(entry->cpuTensor.storageBytes(),
+    dispatchCopy(entry, [e = entry.get(), t, dst, counter] {
+        e->cpuTensor = t.to(dst);
+        counter->fetch_add(e->cpuTensor.storageBytes(),
                            std::memory_order_relaxed);
     });
 }
@@ -192,7 +193,7 @@ MarshalContext::copyStorage(const std::shared_ptr<CpuEntry> &entry,
     Device src = t.device();
     Device dst = config_.offloadDevice;
     auto counter = resident_bytes_;
-    dispatchCopy(entry, [entry, t, src, dst, counter,
+    dispatchCopy(entry, [e = entry.get(), t, src, dst, counter,
                          reuse = std::move(reuse)]() mutable {
         std::shared_ptr<Storage> cpu_storage =
             reuse ? std::move(reuse)
@@ -202,9 +203,9 @@ MarshalContext::copyStorage(const std::shared_ptr<CpuEntry> &entry,
         DeviceManager::instance().recordTransfer(src, dst,
                                                  t.storageBytes());
         int64_t elems = t.storageBytes() / dtypeSize(t.dtype());
-        entry->cpuTensor = Tensor::wrapStorage(
+        e->cpuTensor = Tensor::wrapStorage(
             std::move(cpu_storage), {elems}, {1}, 0, t.dtype());
-        counter->fetch_add(entry->cpuTensor.storageBytes(),
+        counter->fetch_add(e->cpuTensor.storageBytes(),
                            std::memory_order_relaxed);
     });
 }
@@ -256,9 +257,11 @@ MarshalContext::offloadAsync(const Tensor &t)
 
     // Double buffering: rotate the eager window and try to recycle the
     // snapshot falling out of it. Stealing is only legal when nothing
-    // else can observe the old bytes: its copy has settled, no pack
-    // handle (saved tensor) references the entry, and the entry holds
-    // the storage's sole reference.
+    // else can observe the old bytes: no pack handle (saved tensor)
+    // references the entry, and the entry holds the storage's sole
+    // reference. The outgoing copy is joined first (it was issued two
+    // offloads ago), so whether it is recycled depends only on the
+    // offload sequence, never on copy timing.
     std::shared_ptr<Storage> reuse;
     if (config_.doubleBuffer) {
         std::shared_ptr<CpuEntry> cand = std::move(db_back_);
@@ -269,11 +272,10 @@ MarshalContext::offloadAsync(const Tensor &t)
             if (it != eager_registry_.end() && it->second == cand) {
                 eager_registry_.erase(it);
             }
-            bool settled =
-                !cand->ready.valid() ||
-                cand->ready.wait_for(std::chrono::seconds(0)) ==
-                    std::future_status::ready;
-            if (settled && cand.use_count() == 1 &&
+            if (cand->ready.valid()) {
+                cand->ready.wait();
+            }
+            if (cand.use_count() == 1 &&
                 cand->cpuTensor.defined() &&
                 cand->cpuTensor.storageBytes() == t.storageBytes() &&
                 cand->cpuTensor.storagePtr().use_count() == 1) {

@@ -90,8 +90,10 @@ struct MarshalConfig
      * were unpacked or never taken) and the sizes match. Steady-state
      * loops that prefetch one same-sized tensor per iteration then run
      * with two CPU buffers total instead of one allocation per
-     * iteration. Reuse is skipped — never forced — when the old
-     * snapshot is still referenced or still copying.
+     * iteration. Rotation first joins the old snapshot's copy, then
+     * skips reuse — never forces it — when the snapshot is still
+     * referenced, so the reuse count depends only on the sequence of
+     * offloads and saves, never on copy timing.
      */
     bool doubleBuffer = false;
 };

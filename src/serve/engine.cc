@@ -614,8 +614,13 @@ throwIfInterrupted(const InferenceEngine::Request &request)
 } // namespace
 
 InferenceEngine::Response
-InferenceEngine::generateCached(const Request &request)
+InferenceEngine::generate(const Request &request)
 {
+    EDKM_CHECK(!request.prompt.empty(),
+               "InferenceEngine: empty prompt in request");
+    EDKM_CHECK(request.maxNewTokens >= 0,
+               "InferenceEngine: negative maxNewTokens");
+    throwIfInterrupted(request);
     Response res;
     res.tokens = request.prompt;
     if (request.maxNewTokens == 0) {
@@ -636,37 +641,6 @@ InferenceEngine::generateCached(const Request &request)
         res.tokens.push_back(next);
     }
     return res;
-}
-
-InferenceEngine::Response
-InferenceEngine::generateRecompute(const Request &request)
-{
-    Response res;
-    res.tokens = request.prompt;
-    for (int64_t step = 0; step < request.maxNewTokens; ++step) {
-        if (step > 0) {
-            throwIfInterrupted(request);
-        }
-        Tensor tokens = Tensor::fromIndices(
-            res.tokens, {1, static_cast<int64_t>(res.tokens.size())});
-        Tensor logits = forward(tokens);
-        Tensor last = logits.slice(0, logits.size(0) - 1,
-                                   logits.size(0));
-        res.tokens.push_back(argmaxLastDim(last).flatAtInt(0));
-    }
-    return res;
-}
-
-InferenceEngine::Response
-InferenceEngine::generate(const Request &request)
-{
-    EDKM_CHECK(!request.prompt.empty(),
-               "InferenceEngine: empty prompt in request");
-    EDKM_CHECK(request.maxNewTokens >= 0,
-               "InferenceEngine: negative maxNewTokens");
-    throwIfInterrupted(request);
-    return config_.kvCacheDecode ? generateCached(request)
-                                 : generateRecompute(request);
 }
 
 std::vector<InferenceEngine::Response>

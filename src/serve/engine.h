@@ -34,7 +34,6 @@
 #ifndef EDKM_SERVE_ENGINE_H_
 #define EDKM_SERVE_ENGINE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -48,25 +47,10 @@
 #include "serve/kv_cache.h"
 #include "serve/reader.h"
 #include "tensor/tensor.h"
+#include "util/cancel.h"
 
 namespace edkm {
 namespace serve {
-
-/**
- * Cooperative cancellation flag shared between a caller and the
- * serving loops (the same shape as api::CancelToken, kept serve-local
- * so the serving layer does not pull in the compression headers).
- * Checked between decode steps, never mid-forward.
- */
-class CancelToken
-{
-  public:
-    void requestCancel() { cancelled_.store(true); }
-    bool cancelled() const { return cancelled_.load(); }
-
-  private:
-    std::atomic<bool> cancelled_{false};
-};
 
 /** A request ran past its deadline (queued or mid-decode). */
 class DeadlineExceeded : public FatalError
@@ -94,15 +78,6 @@ struct EngineConfig
      * loads (the cache never refuses the tensor being requested).
      */
     int64_t decodeCacheBytes = 64ll << 20;
-
-    /**
-     * Serve generate() through the KV cache: the prompt runs one
-     * prefill forward, then every new token costs a single-position
-     * decode step instead of a full-prefix recompute. Logits — and so
-     * the sampled tokens — are bit-identical either way; turn this off
-     * only to measure the O(t)-per-token baseline.
-     */
-    bool kvCacheDecode = true;
 
     /**
      * Fixed KV-cache capacity in token positions; requests needing
@@ -197,10 +172,10 @@ class InferenceEngine
     };
 
     /**
-     * Greedy-decode one request. With EngineConfig::kvCacheDecode the
-     * prompt is prefilled once and each new token costs one decode
-     * step; otherwise every step recomputes the full prefix. Both
-     * produce bit-identical tokens.
+     * Greedy-decode one request through the KV cache: the prompt is
+     * prefilled once and each new token costs one single-position
+     * decode step. Tokens are bit-identical to recomputing the full
+     * prefix at every step.
      */
     Response generate(const Request &request);
 
@@ -300,8 +275,6 @@ class InferenceEngine
     Variable blockStepBatch(int64_t layer, const Variable &x,
                             const std::vector<KvCache *> &kvs);
     Tensor forwardImpl(const Tensor &tokens, KvCache *kv);
-    Response generateCached(const Request &request);
-    Response generateRecompute(const Request &request);
     void ensureKv(int64_t needed);
     void ensureSeqCaches(int64_t s);
     void ensureDecodeRope(int64_t len);

@@ -434,7 +434,7 @@ TEST(Cancellation, MidPlanRollsBackAndClearsTransforms)
     plan.bits = 3;
     plan.dkmMaxIters = 2;
 
-    api::CancelToken token;
+    CancelToken token;
     size_t freeze_ticks = 0;
     api::SessionConfig scfg;
     scfg.cancel = &token;
@@ -480,7 +480,7 @@ TEST(Cancellation, CalibrationCaptureFlagsAreCleared)
     plan.bits = 4;
     plan.groupSize = 16;
 
-    api::CancelToken token;
+    CancelToken token;
     size_t quantize_ticks = 0;
     api::SessionConfig scfg;
     scfg.cancel = &token;
@@ -513,7 +513,7 @@ TEST(Cancellation, PtqSchemeRollsBackQuantizedLayers)
     plan.scheme = "rtn";
     plan.bits = 3;
 
-    api::CancelToken token;
+    CancelToken token;
     size_t ticks = 0;
     api::SessionConfig scfg;
     scfg.cancel = &token;

@@ -11,14 +11,11 @@
  *     are table-driven over availableBackends(), so a newly added
  *     backend — e.g. AVX-512 — gets coverage with no test changes),
  *   - fused vs staged paletteMatmulT vs the dense matmul reference,
- *   - 1-thread vs 8-thread decode determinism,
- *   - the EDKM_FAST_MATH variant stays opt-in: the default path is
- *     bit-identical before and after an opt-in round trip.
+ *   - 1-thread vs 8-thread decode determinism.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -47,23 +44,6 @@ class ThreadCountScope
         runtime::Runtime::instance().setThreadCount(
             runtime::Runtime::defaultThreadCount());
     }
-};
-
-/** Pin the bit-identity contract path for the scope: the tensor-level
- *  tests assert exact bits, so they must hold even when the process
- *  was started with EDKM_FAST_MATH=1 (the opt-in is allowed to change
- *  results — that is its point — so these tests opt back out). */
-class ContractPathScope
-{
-  public:
-    ContractPathScope() : was_(kernels::fastMathEnabled())
-    {
-        kernels::setFastMath(false);
-    }
-    ~ContractPathScope() { kernels::setFastMath(was_); }
-
-  private:
-    bool was_;
 };
 
 /** Random input row with exact zeros sprinkled in (the fused kernel
@@ -226,7 +206,6 @@ TEST(KernelEquivalence, FusedColumnOffsetsAndPartialRanges)
 
 TEST(KernelEquivalence, FusedVsStagedVsDenseMatmul)
 {
-    ContractPathScope contract;
     struct Geometry
     {
         int64_t in, out;
@@ -254,7 +233,6 @@ TEST(KernelEquivalence, FusedVsStagedVsDenseMatmul)
             std::vector<float> xv = randomRow(g.in, ++seed);
             Tensor x = Tensor::fromVector(xv, {1, g.in});
 
-            ASSERT_TRUE(paletteFusedDecodeEnabled());
             int64_t calls0 = paletteFusedCalls();
             Tensor fused = paletteMatmulT(x, v);
             int64_t calls1 = paletteFusedCalls();
@@ -275,7 +253,6 @@ TEST(KernelEquivalence, FusedVsStagedVsDenseMatmul)
 
 TEST(KernelEquivalence, FusedPathFallbacks)
 {
-    ContractPathScope contract;
     PackedWeight w = randomPackedWeight(24, 16, 3, 5150);
     PalettizedTensor p;
     {
@@ -310,17 +287,6 @@ TEST(KernelEquivalence, FusedPathFallbacks)
     c0 = paletteFusedCalls();
     Tensor via1 = paletteMatmulT(x1, viewOf(p1));
     EXPECT_EQ(paletteFusedCalls(), c0);
-
-    // Kill switch: disabled -> staged, bit-identical, counter still.
-    Tensor xm = Tensor::fromVector(randomRow(16, 8), {1, 16});
-    Tensor fused = paletteMatmulT(xm, v);
-    setPaletteFusedDecode(false);
-    c0 = paletteFusedCalls();
-    Tensor staged = paletteMatmulT(xm, v);
-    EXPECT_EQ(paletteFusedCalls(), c0);
-    setPaletteFusedDecode(true);
-    expectBitsEqual(tensorBits(fused), tensorBits(staged),
-                    "kill switch path");
 }
 
 // ---------------------------------------------------------------------
@@ -329,7 +295,6 @@ TEST(KernelEquivalence, FusedPathFallbacks)
 
 TEST(KernelEquivalence, FusedDecodeThreadCountInvariant)
 {
-    ContractPathScope contract;
     Rng rng(31337);
     const int64_t in = 256, out = 301;
     const int bits = 4;
@@ -398,58 +363,6 @@ TEST(KernelEquivalence, RandomizedShapesAcrossBackends)
             expectBitsEqual(o0, o1, "axpy " + tag);
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Fast-math stays opt-in.
-// ---------------------------------------------------------------------
-
-TEST(KernelEquivalence, FastMathIsOptInAndReversible)
-{
-    const bool was = kernels::fastMathEnabled();
-    kernels::setFastMath(false);
-
-    PackedWeight w = randomPackedWeight(96, 128, 4, 808);
-    PalettizedTensor p;
-    {
-        Rng rng(809);
-        std::vector<int32_t> assign(96 * 128);
-        for (int32_t &a : assign) {
-            a = static_cast<int32_t>(rng.randint(0, 15));
-        }
-        p = PalettizedTensor::fromAssignments({96, 128}, w.lut, assign,
-                                              4);
-    }
-    PaletteView v = viewOf(p);
-    Tensor x = Tensor::fromVector(randomRow(128, 810), {1, 128});
-
-    std::vector<float> contract = tensorBits(paletteMatmulT(x, v));
-
-    if (kernels::fastMathPaletteDot() != nullptr) {
-        EXPECT_NE(kernels::fastMathVariantName(), nullptr);
-        kernels::setFastMath(true);
-        EXPECT_TRUE(kernels::fastMathEnabled());
-        std::vector<float> fast = tensorBits(paletteMatmulT(x, v));
-        ASSERT_EQ(contract.size(), fast.size());
-        // Approximately equal (relaxed accumulation), never asserted
-        // bit-equal.
-        for (size_t i = 0; i < contract.size(); ++i) {
-            EXPECT_NEAR(contract[i], fast[i],
-                        1e-3 * (1.0 + std::fabs(contract[i])))
-                << "fast-math element " << i;
-        }
-        kernels::setFastMath(false);
-    } else {
-        EXPECT_EQ(kernels::fastMathVariantName(), nullptr);
-    }
-
-    // After the round trip the default path is bitwise untouched.
-    EXPECT_FALSE(kernels::fastMathEnabled());
-    std::vector<float> again = tensorBits(paletteMatmulT(x, v));
-    expectBitsEqual(contract, again,
-                    "contract path after fast-math round trip");
-
-    kernels::setFastMath(was);
 }
 
 } // namespace

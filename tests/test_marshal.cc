@@ -463,8 +463,8 @@ TEST_F(MarshalTest, DoubleBufferAsyncMatchesSync)
         }
         ctx.sync();
         EXPECT_EQ(ctx.stats().copies, 4) << "async=" << async;
-        EXPECT_GE(ctx.stats().bufferReuses, async ? 1 : 2)
-            << "async=" << async;
+        // Offloads 3 and 4 each recycle the snapshot rotated out.
+        EXPECT_EQ(ctx.stats().bufferReuses, 2) << "async=" << async;
         // The newest snapshot still dedups a save of its tensor.
         Variable v(last, true);
         Variable loss;

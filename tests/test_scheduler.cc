@@ -661,7 +661,7 @@ TEST(Scheduler, ExpiredAndPreCancelledRequestsNeverTakeASlot)
     EXPECT_EQ(sched.stats().deadlineEvicted, 1);
 
     serve::InferenceEngine::Request dead{{3, 4}, 5};
-    dead.cancel = std::make_shared<serve::CancelToken>();
+    dead.cancel = std::make_shared<CancelToken>();
     dead.cancel->requestCancel();
     bool dead_done = false;
     sched.admit(dead, [&](serve::BatchScheduler::Response &&,
@@ -702,7 +702,7 @@ TEST(Scheduler, CancelTokenFreesTheSlotWithinOneStep)
     sched.admit(keeper, keep);
 
     serve::InferenceEngine::Request doomed{{5, 6}, 300};
-    doomed.cancel = std::make_shared<serve::CancelToken>();
+    doomed.cancel = std::make_shared<CancelToken>();
     std::exception_ptr doomed_err;
     sched.admit(doomed, [&](serve::BatchScheduler::Response &&,
                             std::exception_ptr err,

@@ -675,6 +675,22 @@ TEST(ArtifactV21, VerifyModeEnvKnobSelectsAndRejects)
     EXPECT_EQ(r->verifyMode(), serve::VerifyMode::kEager);
     EXPECT_EQ(r->sectionsVerified(), n);
 
+    // Verification never changes what is served: first logits are
+    // identical under every mode.
+    {
+        NoGradGuard ng;
+        Tensor toks = tokenBatch(1, 6, 64, 41);
+        std::vector<float> want = serve::InferenceEngine(r)
+                                      .forward(toks)
+                                      .toVector();
+        for (serve::VerifyMode m :
+             {serve::VerifyMode::kLazy, serve::VerifyMode::kOff}) {
+            serve::InferenceEngine e(serve::ArtifactReader::open(path, m));
+            EXPECT_EQ(e.forward(toks).toVector(), want)
+                << "verify mode " << static_cast<int>(m);
+        }
+    }
+
     setenv("EDKM_VERIFY", "off", 1);
     EXPECT_EQ(serve::ArtifactReader::open(path)->verifyMode(),
               serve::VerifyMode::kOff);
@@ -845,10 +861,22 @@ TEST(Engine, PalettizedLayersStreamWithoutDenseDecode)
     std::string path = writeTemp(res.artifact.serialize(),
                                  "edkm_test_engine_stream.edkm");
 
+    NoGradGuard ng;
+    Tensor toks = tokenBatch(1, 4, 64, 3);
+    // Live host bytes after first logits: the eager model holds every
+    // weight decoded to dense f32; the engine must hold under half.
+    int64_t eager_bytes = 0;
+    {
+        StatsScope scope(Device::cpu());
+        nn::MiniLlama eager = res.artifact.reconstruct();
+        eager.forward(toks);
+        eager_bytes = scope.currentDelta();
+    }
+    StatsScope scope(Device::cpu());
     auto reader = serve::ArtifactReader::open(path);
     serve::InferenceEngine engine(reader);
-    NoGradGuard ng;
-    engine.forward(tokenBatch(1, 4, 64, 3));
+    engine.forward(toks);
+    EXPECT_LT(2 * scope.currentDelta(), eager_bytes);
     // eDKM palettizes every Linear and the embedding: no dense decode
     // happens at all, every matmul streams LUT+index tiles.
     EXPECT_EQ(engine.stats().decodes, 0);
@@ -998,14 +1026,24 @@ TEST_P(KvDecodeBitExact, DecodeStepLogitsMatchFullPrefixForward)
         next = argmaxLastDim(cached).flatAtInt(0);
     }
 
-    // End to end: cached generate() == full-recompute generate().
-    serve::EngineConfig full_cfg;
-    full_cfg.kvCacheDecode = false;
-    serve::InferenceEngine recompute(reader, full_cfg);
+    // End to end: cached generate() == greedy decode recomputing the
+    // full prefix at every step.
     serve::InferenceEngine::Request req{{9, 2, 33}, 5};
-    EXPECT_EQ(engine.generate(req).tokens,
-              recompute.generate(req).tokens);
+    std::vector<int64_t> want = req.prompt;
+    for (int64_t step = 0; step < req.maxNewTokens; ++step) {
+        Tensor full = engine.forward(Tensor::fromIndices(
+            want, {1, static_cast<int64_t>(want.size())}));
+        Tensor full_last =
+            full.slice(0, full.size(0) - 1, full.size(0));
+        want.push_back(argmaxLastDim(full_last).flatAtInt(0));
+    }
+    int64_t fused0 = engine.stats().fusedDecodes;
+    EXPECT_EQ(engine.generate(req).tokens, want);
     EXPECT_GT(engine.stats().decodeSteps, 0);
+    // Palettized decode steps take the fused m==1 kernel.
+    if (codecOf(GetParam()) == api::Codec::kPalettized) {
+        EXPECT_GT(engine.stats().fusedDecodes, fused0);
+    }
     std::remove(path.c_str());
 }
 

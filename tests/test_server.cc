@@ -494,7 +494,7 @@ TEST(Server, TypedDeadlineAndCancelErrorsSurfaceFromWait)
                      serve::DeadlineExceeded);
 
         serve::Server::Request dead({4, 5}, 5);
-        dead.cancel = std::make_shared<serve::CancelToken>();
+        dead.cancel = std::make_shared<CancelToken>();
         dead.cancel->requestCancel();
         EXPECT_THROW(server.wait(server.submit(std::move(dead))),
                      serve::Cancelled);

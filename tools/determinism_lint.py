@@ -296,9 +296,6 @@ def scan_file(path, rel, cfg, findings, suppressions):
     for rule in cfg["rule"]:
         if rule_exempt(rule, rel):
             continue
-        marker = rule.get("allow_if_file_contains")
-        if marker and marker in raw:
-            continue
         if rule.get("structural") == "unordered-iteration":
             names = unordered_names(code, rule["containers"])
             # Members of class X live in X.h while the loops live in

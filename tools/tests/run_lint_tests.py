@@ -26,7 +26,7 @@ CASES = {
     "raw_rng_violation.cc": (3, 0, ["raw-rng"]),
     "raw_rng_clean.cc": (0, 0, []),
     "fast_math_violation.cc": (1, 0, ["fast-math"]),
-    "fast_math_optin_clean.cc": (0, 0, []),
+    "fast_math_marker_not_exempt.cc": (1, 0, ["fast-math"]),
     "parallel_numerics_violation.cc": (2, 0, ["parallel-numerics"]),
     "parallel_numerics_clean.cc": (0, 0, []),
     "raw_thread_violation.cc": (1, 0, ["raw-thread"]),
