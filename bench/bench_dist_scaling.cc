@@ -2,7 +2,7 @@
  * @file
  * Distributed-clustering scaling bench: the sharded eDKM loop at 1/2/4
  * learners, as real processes on both transports and as the functional
- * single-process simulation, plus marshal-overlap on/off rows.
+ * single-process simulation.
  *
  * Emits BENCH_dist.json (cwd) with, per learner count:
  *  - wall-clock milliseconds of the real multi-process run on each
@@ -154,33 +154,6 @@ main(int argc, char **argv)
         }
     }
 
-    // Marshal overlap on/off: simulated-GPU weights so the offload
-    // path actually runs; pure data movement, so bits must not move.
-    Tensor w_gpu = Tensor::rand({n}, rng, Device::gpu(0));
-    double plain_ms, overlap_ms;
-    int64_t reuses;
-    {
-        auto t0 = std::chrono::steady_clock::now();
-        dist::ShardedClusterResult plain =
-            dist::shardedClusterSimulate(w_gpu, opts, 2);
-        plain_ms = wallMsSince(t0);
-        dist::ShardedClusterOptions o2 = opts;
-        o2.overlapOffload = true;
-        t0 = std::chrono::steady_clock::now();
-        dist::ShardedClusterResult overlapped =
-            dist::shardedClusterSimulate(w_gpu, o2, 2);
-        overlap_ms = wallMsSince(t0);
-        reuses = overlapped.marshalBufferReuses;
-        if (!sameBits(plain.weights, overlapped.weights) ||
-            !sameBits(plain.centroids, overlapped.centroids)) {
-            std::cerr << "FAIL: overlapOffload changed the result\n";
-            return 1;
-        }
-    }
-    std::cout << "  overlap off: " << plain_ms << " ms, on: "
-              << overlap_ms << " ms (" << reuses
-              << " buffers recycled)\n";
-
     std::ofstream json("BENCH_dist.json");
     json << "{\n"
          << "  \"bench\": \"dist_scaling\",\n"
@@ -199,10 +172,7 @@ main(int argc, char **argv)
              << r.transportBytesReceived << "}"
              << (i + 1 < rows.size() ? "," : "") << "\n";
     }
-    json << "  ],\n"
-         << "  \"marshal_overlap\": {\"off_ms\": " << plain_ms
-         << ", \"on_ms\": " << overlap_ms
-         << ", \"buffer_reuses\": " << reuses << "}\n"
+    json << "  ]\n"
          << "}\n";
     std::cout << "wrote BENCH_dist.json\n";
     return 0;

@@ -110,7 +110,6 @@ BM_HopSweep(benchmark::State &state)
 BENCHMARK(BM_PackDkmPattern)
     ->ArgsProduct(
         {{static_cast<long>(MarshalConfig::Detection::kGraphWalk),
-          static_cast<long>(MarshalConfig::Detection::kStorageId),
           static_cast<long>(MarshalConfig::Detection::kNone)},
          {128, 512}})
     ->Unit(benchmark::kMicrosecond);
@@ -125,7 +124,7 @@ main(int argc, char **argv)
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    std::cout << "\nExpected shape: graph-walk/storage-id avoid ~half "
+    std::cout << "\nExpected shape: graph-walk avoids ~half "
                  "the copies of 'none'; hop-sweep dedup saturates once "
                  "the bound covers the deepest view chain (paper: 4 "
                  "hops sufficed).\n";

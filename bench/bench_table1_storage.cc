@@ -2,8 +2,8 @@
  * @file
  * Reproduces Table 1 of the paper: per-line GPU/CPU memory of the
  * cross-device copy example, followed by the same saves through the
- * marshaling layer (with graph-walk, storage-id, and no detection) to
- * quantify the redundancy each strategy removes.
+ * marshaling layer (with graph-walk and no detection) to quantify the
+ * redundancy detection removes.
  *
  * Paper reference values (MB): line0 GPU 4 / CPU 0, line1 4/0,
  * line2 4/4, line3 4/8 — the final 8 MB CPU is the redundancy.
@@ -160,8 +160,6 @@ main()
         "none (naive offload)", MarshalConfig::Detection::kNone));
     marshal_rows.push_back(marshaledSaves(
         "graph walk (paper)", MarshalConfig::Detection::kGraphWalk));
-    marshal_rows.push_back(marshaledSaves(
-        "storage id (extension)", MarshalConfig::Detection::kStorageId));
     std::cout << "\nExpected shape: naive resident 8 MB; with detection "
                  "4 MB and half the traffic.\n\n";
 

@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <string>
 
 #include "core/dkm.h"
 #include "core/uniquify.h"
-#include "dist/checkpoint_avg.h"
 #include "dist/transport.h"
 #include "kernels/attention.h"
 #include "kernels/kernels.h"
-#include "marshal/marshal.h"
 #include "runtime/runtime.h"
 #include "util/logging.h"
 #include "util/serial.h"
@@ -57,7 +54,6 @@ serializeResult(const ShardedClusterResult &r)
     serial::appendPod(buf, r.comm.allReduceBytes);
     serial::appendPod(buf, r.transportBytesSent);
     serial::appendPod(buf, r.transportBytesReceived);
-    serial::appendPod(buf, r.marshalBufferReuses);
     return buf;
 }
 
@@ -76,7 +72,6 @@ deserializeResult(const std::vector<uint8_t> &buf)
     r.comm.allReduceBytes = serial::readPod<int64_t>(buf, at);
     r.transportBytesSent = serial::readPod<int64_t>(buf, at);
     r.transportBytesReceived = serial::readPod<int64_t>(buf, at);
-    r.marshalBufferReuses = serial::readPod<int64_t>(buf, at);
     return r;
 }
 
@@ -100,7 +95,6 @@ shardedClusterRank(const Tensor &w, const ShardedClusterOptions &opts,
                "sharded cluster: empty weight");
     int64_t n = w.numel();
     int64_t k = 1 << opts.edkm.dkm.bits;
-    int world = group.worldSize();
     Device dev = w.device();
 
     // Unique decomposition, warm start and temperature are computed
@@ -125,19 +119,6 @@ shardedClusterRank(const Tensor &w, const ShardedClusterOptions &opts,
                                              dec.counts);
     Tensor u_col = Tensor::fromVector(u_vals, {U, 1}, dev);
 
-    // Optional overlap: prefetch each iteration's table shard through a
-    // double-buffered async marshal context. Offload is pure data
-    // movement — it never feeds back into the numbers below.
-    std::unique_ptr<MarshalContext> marshal;
-    if (opts.overlapOffload) {
-        MarshalConfig mc;
-        mc.detection = MarshalConfig::Detection::kStorageId;
-        mc.asyncOffload = true;
-        mc.doubleBuffer = true;
-        mc.minOffloadBytes = 1;
-        marshal = std::make_unique<MarshalContext>(mc);
-    }
-
     auto shard_table = [&](int r, const Tensor &c_row) {
         auto [b, e] = group.shardRange(U, r);
         return kernels::attentionTable(u_col.slice(0, b, e), c_row, tau);
@@ -146,7 +127,6 @@ shardedClusterRank(const Tensor &w, const ShardedClusterOptions &opts,
     Tensor table_own;            // own shard's table, last iteration
     std::vector<float> c_last_in; // centroids that table was built from
     int iters = 0;
-    CheckpointAverager lawa(std::max(1, opts.lawaK));
 
     for (int it = 0; it < opts.edkm.dkm.maxIters; ++it) {
         c_last_in = c;
@@ -164,9 +144,6 @@ shardedClusterRank(const Tensor &w, const ShardedClusterOptions &opts,
             Tensor tbl = shard_table(r, c_row);
             if (r == group.rank()) {
                 table_own = tbl;
-                if (marshal) {
-                    marshal->offloadAsync(tbl);
-                }
             }
             const float *pt = tbl.rawData<const float>();
             float *pp = p.rawData<float>();
@@ -196,28 +173,8 @@ shardedClusterRank(const Tensor &w, const ShardedClusterOptions &opts,
             c[static_cast<size_t>(j)] = cn;
         }
         iters = it + 1;
-        if (opts.lawaK > 0) {
-            lawa.push(c);
-        }
         if (delta < opts.edkm.dkm.convergenceEps) {
             break;
-        }
-    }
-
-    // LAWA: local latest-k average (identical on every rank), then the
-    // cross-learner mean via the same deterministic all-reduce — this
-    // is where real per-learner checkpoints would diverge and be pulled
-    // back together.
-    std::vector<float> c_final = c;
-    if (opts.lawaK > 0) {
-        std::vector<float> local = lawa.average();
-        Tensor summed = group.allReduceSumDet(k, [&](int) {
-            return Tensor::fromVector(local, {k}, Device::cpu());
-        });
-        const float *ps = summed.rawData<const float>();
-        float inv = 1.0f / static_cast<float>(world);
-        for (int64_t j = 0; j < k; ++j) {
-            c_final[static_cast<size_t>(j)] = ps[j] * inv;
         }
     }
 
@@ -238,7 +195,7 @@ shardedClusterRank(const Tensor &w, const ShardedClusterOptions &opts,
             double dot = 0.0;
             for (int64_t j = 0; j < k; ++j) {
                 dot += static_cast<double>(pt[row * k + j]) *
-                       c_final[static_cast<size_t>(j)];
+                       c[static_cast<size_t>(j)];
             }
             po[row] = static_cast<float>(dot);
         }
@@ -260,17 +217,13 @@ shardedClusterRank(const Tensor &w, const ShardedClusterOptions &opts,
     } else {
         res.weights = w_unique.toVector();
     }
-    res.centroids = std::move(c_final);
+    res.centroids = std::move(c);
     res.iterations = iters;
     res.uniqueCount = opts.edkm.uniquify ? dec.uniqueCount() : 0;
     res.comm = group.stats();
     if (group.crossProcess()) {
         res.transportBytesSent = group.transport()->bytesSent();
         res.transportBytesReceived = group.transport()->bytesReceived();
-    }
-    if (marshal) {
-        marshal->sync();
-        res.marshalBufferReuses = marshal->stats().bufferReuses;
     }
     return res;
 }

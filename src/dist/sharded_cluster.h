@@ -14,16 +14,6 @@
  * group is functional (one process simulating L learners) or backed by
  * a real transport with L processes — at any learner count, on any
  * transport. tests/test_dist_process.cc enforces that gate in ctest.
- *
- * Optional extras:
- *  - LAWA (latest-k checkpoint averaging, see dist/checkpoint_avg.h):
- *    lawaK > 0 averages the last k centroid checkpoints locally, then
- *    averages that across learners with the same deterministic
- *    all-reduce.
- *  - overlapOffload: each iteration's table shard is prefetched to the
- *    offload device through a double-buffered async MarshalContext
- *    (MarshalConfig::doubleBuffer), overlapping the D2H copy with the
- *    next iteration's compute. Pure overlap: never changes the result.
  */
 
 #ifndef EDKM_DIST_SHARDED_CLUSTER_H_
@@ -45,14 +35,6 @@ struct ShardedClusterOptions
 {
     /** Clustering hyper-parameters (dkm.*, halfKind, uniquify). */
     EdkmConfig edkm;
-
-    /** LAWA window: average the latest k centroid checkpoints across
-     *  learners. 0 disables (use the last iterate). */
-    int lawaK = 0;
-
-    /** Prefetch each iteration's table shard through a double-buffered
-     *  async MarshalContext (no-op for CPU-resident weights). */
-    bool overlapOffload = false;
 };
 
 /** What one sharded clustering run produces (identical on all ranks). */
@@ -68,9 +50,6 @@ struct ShardedClusterResult
     /** Transport byte counters (0 in functional mode). */
     int64_t transportBytesSent = 0;
     int64_t transportBytesReceived = 0;
-
-    /** Offload buffers recycled by the double-buffered marshal. */
-    int64_t marshalBufferReuses = 0;
 };
 
 /**

@@ -618,6 +618,9 @@ meanDim(const Tensor &a, int64_t d, bool keepdim)
     return mulScalar(s, 1.0f / static_cast<float>(a.shape()[dd]));
 }
 
+// GCC 12 false positive: -Wfree-nonheap-object on `out_shape = {1}`.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wfree-nonheap-object"
 std::pair<Tensor, Tensor>
 maxLastDim(const Tensor &a)
 {
@@ -650,6 +653,7 @@ maxLastDim(const Tensor &a)
     chargeFlops(static_cast<double>(a.numel()), a.device());
     return {values, indices};
 }
+#pragma GCC diagnostic pop
 
 Tensor
 argmaxLastDim(const Tensor &a)

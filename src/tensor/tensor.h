@@ -86,8 +86,8 @@ class Tensor
 
     /**
      * Expert API: wrap an existing storage with explicit metadata.
-     * Used by the marshaling layer (view reconstruction over an offloaded
-     * buffer) and the distributed simulation. @p strides are in elements.
+     * Used by the artifact reader to view mmap'd sections in place.
+     * @p strides are in elements.
      */
     static Tensor wrapStorage(std::shared_ptr<Storage> storage, Shape shape,
                               Shape strides, int64_t offset, DType dtype);

@@ -9,7 +9,6 @@
 #include <cstring>
 
 #include "device/device_manager.h"
-#include "dist/checkpoint_avg.h"
 #include "dist/learner_group.h"
 #include "dist/process_group.h"
 #include "tensor/ops.h"
@@ -154,21 +153,6 @@ TEST_F(DistTest, SingleLearnerOwnsEverythingAtAnySize)
         EXPECT_EQ(b, 0);
         EXPECT_EQ(e, n);
     }
-}
-
-TEST_F(DistTest, CheckpointAveragerKeepsLatestK)
-{
-    dist::CheckpointAverager avg(2);
-    EXPECT_THROW(avg.average(), FatalError);
-    avg.push({1.0f, 2.0f});
-    EXPECT_EQ(avg.size(), 1);
-    EXPECT_EQ(avg.average(), (std::vector<float>{1.0f, 2.0f}));
-    avg.push({3.0f, 4.0f});
-    avg.push({5.0f, 6.0f}); // evicts {1,2}
-    EXPECT_EQ(avg.size(), 2);
-    EXPECT_EQ(avg.average(), (std::vector<float>{4.0f, 5.0f}));
-    EXPECT_THROW(avg.push({1.0f}), FatalError); // size changed
-    EXPECT_THROW(dist::CheckpointAverager(0), FatalError);
 }
 
 TEST_F(DistTest, GeneratorCollectivesMatchFunctionalPeers)

@@ -194,62 +194,6 @@ TEST_F(DistProcess, BitIdentityWithoutUniquification)
     EXPECT_EQ(proc.uniqueCount, 0);
 }
 
-TEST_F(DistProcess, LawaAveragingBitIdentical)
-{
-    Rng rng(13);
-    Tensor w = Tensor::rand({16, 8}, rng);
-    ShardedClusterOptions opts;
-    opts.edkm.dkm.bits = 3;
-    opts.edkm.dkm.maxIters = 5;
-    opts.edkm.dkm.convergenceEps = 0.0f; // run all 5 iterations
-    opts.lawaK = 2;
-
-    ShardedClusterResult sim = shardedClusterSimulate(w, opts, 2);
-    ProcessGroupOptions pg;
-    pg.world = 2;
-    pg.kind = TransportKind::kShm;
-    ShardedClusterResult proc = shardedClusterProcesses(w, opts, pg);
-    EXPECT_EQ(0, std::memcmp(proc.centroids.data(), sim.centroids.data(),
-                             sim.centroids.size() * 4));
-    EXPECT_EQ(0, std::memcmp(proc.weights.data(), sim.weights.data(),
-                             sim.weights.size() * 4));
-
-    // LAWA must actually change the final centroids vs the last
-    // iterate (unless the loop converged in one step, which 5 iters of
-    // this input does not).
-    ShardedClusterOptions plain = opts;
-    plain.lawaK = 0;
-    ShardedClusterResult base = shardedClusterSimulate(w, plain, 2);
-    EXPECT_NE(0, std::memcmp(base.centroids.data(),
-                             sim.centroids.data(),
-                             sim.centroids.size() * 4));
-}
-
-TEST_F(DistProcess, OverlapOffloadPreservesBitsAndReusesBuffers)
-{
-    Rng rng(99);
-    Tensor w = Tensor::rand({32, 16}, rng, Device::gpu(0));
-    ShardedClusterOptions opts;
-    opts.edkm.dkm.bits = 4;
-    opts.edkm.dkm.maxIters = 6;
-    opts.edkm.dkm.convergenceEps = 0.0f; // run all 6 iterations
-
-    ShardedClusterResult plain = shardedClusterSimulate(w, opts, 2);
-    opts.overlapOffload = true;
-    ShardedClusterResult overlapped = shardedClusterSimulate(w, opts, 2);
-    ASSERT_EQ(plain.weights.size(), overlapped.weights.size());
-    EXPECT_EQ(0, std::memcmp(plain.weights.data(),
-                             overlapped.weights.data(),
-                             plain.weights.size() * 4));
-    EXPECT_EQ(0, std::memcmp(plain.centroids.data(),
-                             overlapped.centroids.data(),
-                             plain.centroids.size() * 4));
-    // Same-sized table shard every iteration: the double buffer
-    // recycles storage on every offload from the third on (4 of 6).
-    EXPECT_EQ(plain.marshalBufferReuses, 0);
-    EXPECT_EQ(overlapped.marshalBufferReuses, 4);
-}
-
 TEST_F(DistProcess, ChildDeathSurfacesTypedErrorFast)
 {
     for (TransportKind kind :

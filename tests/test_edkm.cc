@@ -389,31 +389,59 @@ TEST_F(EdkmEquivalence, SavedBytesOrdering)
 
 TEST_F(EdkmEquivalence, MarshalOffloadKeepsGradientsIntact)
 {
-    // Full pipeline: eDKM saves through the marshaling hooks; results
-    // must not change.
-    EdkmConfig cfg;
-    cfg.dkm = sharedCfg();
-    cfg.uniquify = true;
-    EdkmLayer plain(cfg);
-    RunResult a = run(plain, w, upstream);
-
-    Tensor w_gpu = w.to(Device::gpu(0));
-    MarshalConfig mc;
-    mc.minOffloadBytes = 1;
-    MarshalContext ctx(mc);
-    EdkmLayer hooked(cfg);
-    Variable wv(w_gpu.clone(), true);
-    Variable loss;
-    {
-        SavedTensorHooksGuard guard(&ctx);
-        Variable out = hooked.forward(wv);
-        loss = af::sumAll(
-            af::mul(out, af::constant(upstream.to(Device::gpu(0)))));
+    // Marshaling only moves saved tensors: the same gpu(0) weight run
+    // with no hooks, with graph-walk offload and with no-detection
+    // offload gives byte-identical W~ and dW in every mode.
+    Rng rng(31);
+    Tensor w_gpu = Tensor::randn({256, 256}, rng, Device::cpu(), 0.02f)
+                       .to(DType::kBf16)
+                       .to(DType::kF32)
+                       .to(Device::gpu(0));
+    Tensor up_gpu = Tensor::randn({256, 256}, rng).to(Device::gpu(0));
+    auto group = std::make_shared<LearnerGroup>(8);
+    using Mode = EdkmConfig::BackwardMode;
+    using Detection = MarshalConfig::Detection;
+    for (Mode mode : {Mode::kReconstruct, Mode::kFused}) {
+        for (bool uniq : {true, false}) {
+            for (bool shard : {false, true}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "fused=" << (mode == Mode::kFused)
+                             << " U=" << uniq << " S=" << shard);
+                EdkmConfig cfg;
+                cfg.dkm.bits = 3;
+                cfg.dkm.maxIters = 3;
+                cfg.dkm.convergenceEps = 0.0f;
+                cfg.uniquify = uniq;
+                cfg.shard = shard;
+                cfg.backwardMode = mode;
+                EdkmLayer plain_layer(cfg, group);
+                RunResult plain = run(plain_layer, w_gpu, up_gpu);
+                for (Detection det : {Detection::kGraphWalk,
+                                      Detection::kNone}) {
+                    MarshalConfig mc;
+                    mc.detection = det;
+                    mc.minOffloadBytes = 1;
+                    MarshalContext ctx(mc);
+                    EdkmLayer layer(cfg, group);
+                    Variable wv(w_gpu.clone(), true);
+                    Variable out;
+                    Variable loss;
+                    {
+                        SavedTensorHooksGuard guard(&ctx);
+                        out = layer.forward(wv);
+                        loss = af::sumAll(
+                            af::mul(out, af::constant(up_gpu)));
+                    }
+                    backward(loss);
+                    EXPECT_GE(ctx.stats().copies, 1); // payload went to CPU
+                    EXPECT_TRUE(sameBytes(out.data(), plain.output))
+                        << "graph walk=" << (det == Detection::kGraphWalk);
+                    EXPECT_TRUE(sameBytes(wv.grad(), plain.grad))
+                        << "graph walk=" << (det == Detection::kGraphWalk);
+                }
+            }
+        }
     }
-    backward(loss);
-
-    EXPECT_GE(ctx.stats().copies, 1); // payload went to CPU
-    EXPECT_LT(maxAbsDiff(a.grad, wv.grad().to(Device::cpu())), 2e-3f);
 }
 
 TEST_F(EdkmEquivalence, ReportDiagnostics)

@@ -2,8 +2,8 @@
  * @file
  * Tests for cross-device tensor marshaling (paper section 2.1): the
  * Table 1 / Fig 2 duplicate-copy scenario, graph-walk detection at
- * various hop depths, op-trace replay correctness, and the alternative
- * detection strategies.
+ * various hop depths, op-trace replay correctness, and the no-detection
+ * baseline.
  */
 
 #include <gtest/gtest.h>
@@ -217,25 +217,6 @@ TEST_F(MarshalTest, SliceTraceReplaysProducerDirection)
     EXPECT_NEAR(g.at({2, 1}), 4.0f * x.data().at({2, 1}), 1e-4);
 }
 
-TEST_F(MarshalTest, StorageIdModeDetectsAllAliases)
-{
-    MarshalContext ctx(cfg(MarshalConfig::Detection::kStorageId));
-    Variable x(Tensor::rand({8, 8}, rng, Device::gpu(0)), true);
-    Variable loss;
-    {
-        SavedTensorHooksGuard guard(&ctx);
-        Variable s1 = af::square(x);
-        Variable t = af::transpose(x, 0, 1);
-        Variable s2 = af::square(t); // same storage id -> reference
-        loss = af::add(af::sumAll(s1), af::sumAll(s2));
-    }
-    EXPECT_EQ(ctx.stats().copies, 1);
-    EXPECT_EQ(ctx.stats().duplicatesAvoided, 1);
-    backward(loss);
-    EXPECT_TRUE(allclose(x.grad(), mulScalar(x.data(), 4.0f), 1e-4f,
-                         1e-5f));
-}
-
 TEST_F(MarshalTest, OffloadMovesBytesOffGpu)
 {
     // With offload, dropping forward temporaries releases GPU memory;
@@ -315,168 +296,6 @@ TEST_F(MarshalTest, RegistryEntriesDieWithGraph)
     }
     // Graph (and its saved handles) destroyed -> CPU copy released.
     EXPECT_EQ(ctx.residentBytes(), 0);
-}
-
-TEST_F(MarshalTest, AsyncOffloadMatchesSyncBehaviour)
-{
-    // Same Fig 2 scenario, but copies ride the runtime queue: counters
-    // and gradients must match the synchronous path after sync().
-    MarshalConfig c = cfg(MarshalConfig::Detection::kGraphWalk);
-    c.asyncOffload = true;
-    MarshalContext ctx(c);
-    Variable x0(Tensor::rand({64, 64}, rng, Device::gpu(0)), true);
-    Variable loss;
-    {
-        SavedTensorHooksGuard guard(&ctx);
-        Variable x1 = af::view(x0, {-1, 1});
-        Variable a = af::square(x1);
-        Variable b = af::square(x0);
-        loss = af::add(af::sumAll(a), af::sumAll(b));
-    }
-    ctx.sync();
-    EXPECT_EQ(ctx.pendingCopies(), 0);
-    const MarshalStats &s = ctx.stats();
-    EXPECT_EQ(s.copies, 1);
-    EXPECT_EQ(s.duplicatesAvoided, 1);
-    EXPECT_EQ(s.asyncCopies, 1);
-    EXPECT_EQ(ctx.residentBytes(), 64 * 64 * 4);
-    backward(loss); // unpack joins per entry even without sync()
-    EXPECT_TRUE(allclose(x0.grad(), mulScalar(x0.data(), 4.0f), 1e-4f,
-                         1e-5f));
-}
-
-TEST_F(MarshalTest, AsyncStorageIdModeDefersViewReconstruction)
-{
-    MarshalConfig c = cfg(MarshalConfig::Detection::kStorageId);
-    c.asyncOffload = true;
-    MarshalContext ctx(c);
-    Variable x(Tensor::rand({8, 8}, rng, Device::gpu(0)), true);
-    Variable loss;
-    {
-        SavedTensorHooksGuard guard(&ctx);
-        Variable s1 = af::square(x);
-        Variable t = af::transpose(x, 0, 1);
-        Variable s2 = af::square(t); // same storage -> deferred view
-        loss = af::add(af::sumAll(s1), af::sumAll(s2));
-    }
-    EXPECT_EQ(ctx.stats().copies, 1);
-    EXPECT_EQ(ctx.stats().duplicatesAvoided, 1);
-    backward(loss);
-    EXPECT_TRUE(allclose(x.grad(), mulScalar(x.data(), 4.0f), 1e-4f,
-                         1e-5f));
-}
-
-TEST_F(MarshalTest, OffloadAsyncPrefetchDedupsLaterSaves)
-{
-    MarshalContext ctx(cfg(MarshalConfig::Detection::kGraphWalk));
-    Variable x(Tensor::rand({32, 32}, rng, Device::gpu(0)), true);
-    // Prefetch x's storage before the forward ever saves it.
-    ctx.offloadAsync(x.data());
-    ctx.sync();
-    EXPECT_EQ(ctx.stats().copies, 1);
-    Variable loss;
-    {
-        SavedTensorHooksGuard guard(&ctx);
-        Variable a = af::square(x);            // saves x -> prefetch hit
-        Variable t = af::transpose(x, 0, 1);
-        Variable b = af::square(t);            // view of x -> hit too
-        loss = af::add(af::sumAll(a), af::sumAll(b));
-    }
-    EXPECT_EQ(ctx.stats().copies, 1); // no new copies
-    EXPECT_EQ(ctx.stats().duplicatesAvoided, 2);
-    backward(loss);
-    EXPECT_TRUE(allclose(x.grad(), mulScalar(x.data(), 4.0f), 1e-4f,
-                         1e-5f));
-}
-
-TEST_F(MarshalTest, DoubleBufferRecyclesOffloadStorage)
-{
-    MarshalConfig c = cfg(MarshalConfig::Detection::kStorageId);
-    c.doubleBuffer = true;
-    MarshalContext ctx(c);
-    // Steady-state loop: one same-sized prefetch per iteration, none of
-    // them saved — from the third offload on, the storage rotated out
-    // of the two-deep window is recycled instead of reallocated.
-    for (int i = 0; i < 5; ++i) {
-        Tensor t = Tensor::rand({64, 64}, rng, Device::gpu(0));
-        ctx.offloadAsync(t);
-    }
-    ctx.sync();
-    EXPECT_EQ(ctx.stats().copies, 5);
-    EXPECT_EQ(ctx.stats().bufferReuses, 3);
-    // Window is bounded: exactly two snapshots stay resident.
-    EXPECT_EQ(ctx.residentBytes(), 2 * 64 * 64 * 4);
-}
-
-TEST_F(MarshalTest, DoubleBufferOffByDefaultNeverRecycles)
-{
-    MarshalContext ctx(cfg(MarshalConfig::Detection::kStorageId));
-    for (int i = 0; i < 4; ++i) {
-        Tensor t = Tensor::rand({32, 32}, rng, Device::gpu(0));
-        ctx.offloadAsync(t);
-    }
-    ctx.sync();
-    EXPECT_EQ(ctx.stats().bufferReuses, 0);
-    EXPECT_EQ(ctx.residentBytes(), 4 * 32 * 32 * 4);
-}
-
-TEST_F(MarshalTest, DoubleBufferSkipsReuseWhileSnapshotReferenced)
-{
-    MarshalConfig c = cfg(MarshalConfig::Detection::kStorageId);
-    c.doubleBuffer = true;
-    MarshalContext ctx(c);
-
-    // Save a view of the first prefetched tensor: its snapshot is
-    // referenced by a live pack handle, so the rotation must NOT steal
-    // that storage — unpack must still see the original bytes.
-    Variable x(Tensor::rand({16, 16}, rng, Device::gpu(0)), true);
-    Variable loss;
-    {
-        SavedTensorHooksGuard guard(&ctx);
-        ctx.offloadAsync(x.data());
-        loss = af::sumAll(af::square(x)); // saves x -> prefetch hit
-    }
-    EXPECT_EQ(ctx.stats().duplicatesAvoided, 1);
-    for (int i = 0; i < 3; ++i) {
-        Tensor t = Tensor::rand({16, 16}, rng, Device::gpu(0));
-        ctx.offloadAsync(t);
-    }
-    ctx.sync();
-    // The rotation that would have stolen x's snapshot skipped it; the
-    // later unreferenced snapshots still recycle among themselves.
-    backward(loss);
-    EXPECT_TRUE(allclose(x.grad(), mulScalar(x.data(), 2.0f), 1e-4f,
-                         1e-5f));
-}
-
-TEST_F(MarshalTest, DoubleBufferAsyncMatchesSync)
-{
-    for (bool async : {false, true}) {
-        MarshalConfig c = cfg(MarshalConfig::Detection::kStorageId);
-        c.doubleBuffer = true;
-        c.asyncOffload = async;
-        MarshalContext ctx(c);
-        Tensor last;
-        for (int i = 0; i < 4; ++i) {
-            last = Tensor::rand({48, 48}, rng, Device::gpu(0));
-            ctx.offloadAsync(last);
-        }
-        ctx.sync();
-        EXPECT_EQ(ctx.stats().copies, 4) << "async=" << async;
-        // Offloads 3 and 4 each recycle the snapshot rotated out.
-        EXPECT_EQ(ctx.stats().bufferReuses, 2) << "async=" << async;
-        // The newest snapshot still dedups a save of its tensor.
-        Variable v(last, true);
-        Variable loss;
-        {
-            SavedTensorHooksGuard guard(&ctx);
-            loss = af::sumAll(af::square(v));
-        }
-        EXPECT_EQ(ctx.stats().duplicatesAvoided, 1) << "async=" << async;
-        backward(loss);
-        EXPECT_TRUE(allclose(v.grad(), mulScalar(last, 2.0f), 1e-4f,
-                             1e-5f));
-    }
 }
 
 TEST_F(MarshalTest, CrossIterationDedupOfReusedInput)
