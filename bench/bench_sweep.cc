@@ -74,7 +74,7 @@ weightMse(const std::vector<std::pair<std::string, std::vector<float>>>
 struct SweepRow
 {
     std::string scheme;
-    eval::SizeReport size;
+    api::SizeReport size;
     int64_t artifactBytes = 0;
     double mse = 0.0;
 };

@@ -117,7 +117,7 @@ marshaledSaves(const std::string &label, MarshalConfig::Detection det)
 
 struct ArtifactRow
 {
-    eval::SizeReport size;
+    api::SizeReport size;
     int64_t artifactBytes = 0; ///< actual serialized container size
 };
 

@@ -32,7 +32,6 @@
 #include "api/plan.h"
 #include "api/session.h"
 #include "data/synthetic.h"
-#include "eval/compress.h"
 #include "eval/mc_harness.h"
 #include "eval/train.h"
 
@@ -53,7 +52,7 @@ struct ResultRow
 {
     std::string method;
     std::string bits;
-    eval::SizeReport size;
+    api::SizeReport size;
     std::vector<double> accuracies;
     double average = 0.0;
 };
@@ -77,14 +76,13 @@ restoreWeights(nn::MiniLlama &model, const std::vector<Tensor> &snap)
         params[i].second.mutableData() = snap[i].clone();
         params[i].second.zeroGrad();
     }
-    eval::clearTransforms(model);
 }
 
 ResultRow
 evaluateRow(nn::MiniLlama &model, const data::ByteTokenizer &tok,
             const std::vector<eval::McTask> &suite,
             const std::string &method, const std::string &bits,
-            const eval::SizeReport &size)
+            const api::SizeReport &size)
 {
     eval::SuiteResult r = eval::evaluateSuite(model, tok, suite);
     ResultRow row;
@@ -221,7 +219,7 @@ main()
     // SizeReport out, model compressed in place.
     api::Session session;
     auto runPlan = [&](const api::CompressionPlan &plan,
-                       bool train_time) -> eval::SizeReport {
+                       bool train_time) -> api::SizeReport {
         api::CalibData calib;
         calib.tokens = calib_batch.tokens;
         if (train_time) {
@@ -245,7 +243,7 @@ main()
     {
         api::CompressionPlan plan;
         plan.scheme = "fp16";
-        eval::SizeReport size = runPlan(plan, /*train_time=*/false);
+        api::SizeReport size = runPlan(plan, /*train_time=*/false);
         rows.push_back(
             evaluateRow(model, tok, suite, "LLaMA-mini", "16", size));
     }
@@ -258,7 +256,7 @@ main()
         plan.scheme = "rtn";
         plan.bits = bits;
         plan.groupSize = 16;
-        eval::SizeReport size = runPlan(plan, /*train_time=*/false);
+        api::SizeReport size = runPlan(plan, /*train_time=*/false);
         rows.push_back(evaluateRow(model, tok, suite, "RTN",
                                    std::to_string(bits), size));
     }
@@ -271,7 +269,7 @@ main()
         plan.scheme = "gptq";
         plan.bits = bits;
         plan.groupSize = 16;
-        eval::SizeReport size = runPlan(plan, /*train_time=*/false);
+        api::SizeReport size = runPlan(plan, /*train_time=*/false);
         rows.push_back(evaluateRow(model, tok, suite, "GPTQ g16",
                                    std::to_string(bits), size));
     }
@@ -285,7 +283,7 @@ main()
         plan.bits = bits;
         plan.groupSize = 16;
         plan.awqGridPoints = 10;
-        eval::SizeReport size = runPlan(plan, /*train_time=*/false);
+        api::SizeReport size = runPlan(plan, /*train_time=*/false);
         rows.push_back(evaluateRow(model, tok, suite, "AWQ g16",
                                    std::to_string(bits), size));
     }
@@ -297,7 +295,7 @@ main()
         api::CompressionPlan plan;
         plan.scheme = "smoothquant";
         plan.bits = 8;
-        eval::SizeReport size = runPlan(plan, /*train_time=*/false);
+        api::SizeReport size = runPlan(plan, /*train_time=*/false);
         rows.push_back(evaluateRow(model, tok, suite, "SmoothQuant",
                                    "8", size));
     }
@@ -310,7 +308,7 @@ main()
         plan.scheme = "qat";
         plan.bits = 4;
         plan.groupSize = -1; // per-channel, matching LLM-QAT
-        eval::SizeReport size = runPlan(plan, /*train_time=*/true);
+        api::SizeReport size = runPlan(plan, /*train_time=*/true);
         rows.push_back(
             evaluateRow(model, tok, suite, "LLM-QAT", "4", size));
     }
@@ -324,7 +322,7 @@ main()
         plan.bits = bits;
         plan.dkmMaxIters = 4;
         plan.embeddingBits = 8;
-        eval::SizeReport size = runPlan(plan, /*train_time=*/true);
+        api::SizeReport size = runPlan(plan, /*train_time=*/true);
         rows.push_back(evaluateRow(model, tok, suite, "eDKM",
                                    std::to_string(bits), size));
     }

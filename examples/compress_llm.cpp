@@ -70,7 +70,7 @@ main()
     auto suite =
         eval::buildSyntheticSuite(corpus, fast ? 8 : 25, 99);
     eval::SuiteResult fp_acc = eval::evaluateSuite(model, tok, suite);
-    eval::SizeReport fp_size = eval::fp16Size(model);
+    int64_t fp16_bytes = model.parameterCount() * 2;
 
     // 2+3. Compress a model in 10 lines: declare the plan, run the
     // session. The paper's setup: eDKM at 3 bits with AdamW
@@ -138,9 +138,9 @@ main()
               << std::setw(10) << 100.0 * reload_acc.average << "\n\n";
 
     bool lossless = reload_acc.average == edkm_acc.average;
-    eval::SizeReport edkm_size = res.report.size;
+    api::SizeReport edkm_size = res.report.size;
     std::cout << std::setprecision(2);
-    std::cout << "model size: " << fp_size.payloadBytes / 1024.0
+    std::cout << "model size: " << fp16_bytes / 1024.0
               << " KiB (fp16) -> " << edkm_size.payloadBytes / 1024.0
               << " KiB (eDKM), " << edkm_size.bitsPerWeight
               << " bits/weight\n"

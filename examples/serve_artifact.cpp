@@ -100,8 +100,7 @@ main()
     std::cout << "opened " << path << " ("
               << (reader->mapped() ? "mmap" : "read fallback") << ", "
               << reader->fileBytes() / 1024 << " KiB, "
-              << reader->sections().size() << " sections, v"
-              << reader->version() << ")\n";
+              << reader->sections().size() << " sections)\n";
     serve::InferenceEngine engine(reader);
 
     // A batch of requests, served through the engine's request API.

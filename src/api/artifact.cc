@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <sstream>
 
 #include "core/palettize.h"
 #include "quant/affine.h"
@@ -12,6 +13,32 @@
 
 namespace edkm {
 namespace api {
+
+std::string
+SizeReport::toJson() const
+{
+    std::ostringstream oss;
+    oss << "{\"scheme\": \"" << scheme << "\", \"payload_bytes\": "
+        << payloadBytes << ", \"bits_per_weight\": " << bitsPerWeight
+        << ", \"projected_gb_7b\": " << projectedGb7B << "}";
+    return oss.str();
+}
+
+double
+projectedGb(double bits_per_weight, double params)
+{
+    return bits_per_weight / 8.0 * params / (1024.0 * 1024.0 * 1024.0);
+}
+
+double
+projectedGbComposed(double linear_bits_per_weight,
+                    double embed_bits_per_weight)
+{
+    double linear_params = kLlama7bParams - kLlama7bEmbedParams;
+    double bytes = linear_bits_per_weight / 8.0 * linear_params +
+                   embed_bits_per_weight / 8.0 * kLlama7bEmbedParams;
+    return bytes / (1024.0 * 1024.0 * 1024.0);
+}
 
 std::string
 codecName(Codec codec)
@@ -148,6 +175,7 @@ ModelArtifact::reconstruct() const
 
 namespace {
 
+/** Magic of the retired v1 stream: recognised only to name it. */
 constexpr uint64_t kArtifactMagicV1 = 0x314c444d4d4b4445ull; // "EDKMMDL1"
 constexpr uint64_t kArtifactMagicV2 = 0x324c444d4d4b4445ull; // "EDKMMDL2"
 
@@ -159,9 +187,9 @@ alignUp(int64_t x)
 }
 
 /**
- * Metadata common to a v1 entry and a v2 manifest record, validated on
- * read: codec range, bits range, rank/dimension sanity, element-count
- * overflow. @p where names the failing entry in errors.
+ * Metadata of one manifest record, validated on read: codec range,
+ * bits range, rank/dimension sanity, element-count overflow. @p where
+ * names the failing entry in errors.
  */
 struct EntryMeta
 {
@@ -199,21 +227,12 @@ readEntryMeta(serial::ByteSpan span, size_t &at, const char *where)
     return m;
 }
 
-void
-appendEntryMeta(std::vector<uint8_t> &buf, const ArtifactEntry &e)
+/** Manifest: scheme, geometry, accounting, then per-entry metadata
+ *  and section index. */
+std::vector<uint8_t>
+buildManifest(const ModelArtifact &a)
 {
-    serial::appendString(buf, e.name);
-    serial::appendPod(buf, static_cast<uint32_t>(e.codec));
-    serial::appendPod(buf, static_cast<int32_t>(e.bits));
-    serial::appendPod(buf, static_cast<uint32_t>(e.shape.size()));
-    for (int64_t d : e.shape) {
-        serial::appendPod(buf, d);
-    }
-}
-
-void
-appendManifestHead(std::vector<uint8_t> &buf, const ModelArtifact &a)
-{
+    std::vector<uint8_t> buf;
     serial::appendString(buf, a.scheme);
     serial::appendPod(buf, a.config.vocab);
     serial::appendPod(buf, a.config.dim);
@@ -225,53 +244,22 @@ appendManifestHead(std::vector<uint8_t> &buf, const ModelArtifact &a)
     serial::appendPod(buf, a.size.payloadBytes);
     serial::appendPod(buf, a.size.bitsPerWeight);
     serial::appendPod(buf, a.size.projectedGb7B);
-}
-
-/** Reads scheme/config/size-report into @p layout-shaped fields. */
-void
-readManifestHead(serial::ByteSpan span, size_t &at, std::string &scheme,
-                 nn::LlamaConfig &config, eval::SizeReport &size,
-                 const char *where)
-{
-    scheme = serial::readString(span, at);
-    config.vocab = serial::readPod<int64_t>(span, at);
-    config.dim = serial::readPod<int64_t>(span, at);
-    config.heads = serial::readPod<int64_t>(span, at);
-    config.layers = serial::readPod<int64_t>(span, at);
-    config.hidden = serial::readPod<int64_t>(span, at);
-    config.seed = serial::readPod<uint64_t>(span, at);
-    EDKM_CHECK(config.vocab > 0 && config.dim > 0 && config.heads > 0 &&
-                   config.layers > 0 && config.hidden >= 0,
-               where, ": bad model geometry");
-    size.scheme = serial::readString(span, at);
-    size.payloadBytes = serial::readPod<int64_t>(span, at);
-    size.bitsPerWeight = serial::readPod<double>(span, at);
-    size.projectedGb7B = serial::readPod<double>(span, at);
+    serial::appendPod(buf, static_cast<uint32_t>(a.entries.size()));
+    for (size_t i = 0; i < a.entries.size(); ++i) {
+        const ArtifactEntry &e = a.entries[i];
+        serial::appendString(buf, e.name);
+        serial::appendPod(buf, static_cast<uint32_t>(e.codec));
+        serial::appendPod(buf, static_cast<int32_t>(e.bits));
+        serial::appendPod(buf, static_cast<uint32_t>(e.shape.size()));
+        for (int64_t d : e.shape) {
+            serial::appendPod(buf, d);
+        }
+        serial::appendPod(buf, static_cast<uint32_t>(i));
+    }
+    return buf;
 }
 
 } // namespace
-
-bool
-isArtifactV2(const uint8_t *data, size_t size)
-{
-    if (size < sizeof(uint64_t)) {
-        return false;
-    }
-    uint64_t magic;
-    std::memcpy(&magic, data, sizeof(magic));
-    return magic == kArtifactMagicV2;
-}
-
-bool
-isArtifactV1(const uint8_t *data, size_t size)
-{
-    if (size < sizeof(uint64_t)) {
-        return false;
-    }
-    uint64_t magic;
-    std::memcpy(&magic, data, sizeof(magic));
-    return magic == kArtifactMagicV1;
-}
 
 ArtifactLayout
 parseArtifactLayout(const uint8_t *data, size_t size)
@@ -284,6 +272,9 @@ parseArtifactLayout(const uint8_t *data, size_t size)
 
     size_t at = 0;
     uint64_t magic = serial::readPod<uint64_t>(file, at);
+    EDKM_CHECK(magic != kArtifactMagicV1,
+               "artifact: legacy v1 stream (magic EDKMMDL1) is no longer "
+               "readable; this build reads only the v2.1 container");
     EDKM_CHECK(magic == kArtifactMagicV2, where,
                ": bad magic (not an eDKM v2 model artifact)");
     uint32_t version = serial::readPod<uint32_t>(file, at);
@@ -301,10 +292,13 @@ parseArtifactLayout(const uint8_t *data, size_t size)
     // flags: bit 0 = checksum table present (v2.1). Unknown bits stay
     // ignored, matching the v2.0 "reserved, ignored on read" policy.
     uint32_t flags = serial::readPod<uint32_t>(file, at);
+    EDKM_CHECK((flags & kArtifactFlagChecksums) != 0, where,
+               ": v2.0 container without a checksum table (header flag "
+               "bit 0 clear) is no longer readable; this build reads "
+               "only v2.1");
     uint64_t file_bytes = serial::readPod<uint64_t>(file, at);
-    // v2.0 wrote this word as reserved-zero and never read it back;
-    // v2.1 stores the checksum-table offset here, which is what keeps
-    // checksummed files readable by v2.0 parsers.
+    // v2.0 wrote this word as reserved-zero; v2.1 stores the
+    // checksum-table offset here.
     uint64_t checksum_off = serial::readPod<uint64_t>(file, at);
     EDKM_CHECK(file_bytes == size, where, ": header declares ",
                file_bytes, " file bytes but ", size,
@@ -332,8 +326,21 @@ parseArtifactLayout(const uint8_t *data, size_t size)
     serial::ByteSpan manifest(data + manifest_off,
                               static_cast<size_t>(manifest_bytes));
     size_t mat = 0;
-    readManifestHead(manifest, mat, layout.scheme, layout.config,
-                     layout.size, where);
+    nn::LlamaConfig &config = layout.config;
+    layout.scheme = serial::readString(manifest, mat);
+    config.vocab = serial::readPod<int64_t>(manifest, mat);
+    config.dim = serial::readPod<int64_t>(manifest, mat);
+    config.heads = serial::readPod<int64_t>(manifest, mat);
+    config.layers = serial::readPod<int64_t>(manifest, mat);
+    config.hidden = serial::readPod<int64_t>(manifest, mat);
+    config.seed = serial::readPod<uint64_t>(manifest, mat);
+    EDKM_CHECK(config.vocab > 0 && config.dim > 0 && config.heads > 0 &&
+                   config.layers > 0 && config.hidden >= 0,
+               where, ": bad model geometry");
+    layout.size.scheme = serial::readString(manifest, mat);
+    layout.size.payloadBytes = serial::readPod<int64_t>(manifest, mat);
+    layout.size.bitsPerWeight = serial::readPod<double>(manifest, mat);
+    layout.size.projectedGb7B = serial::readPod<double>(manifest, mat);
     uint32_t entry_count = serial::readPod<uint32_t>(manifest, mat);
     EDKM_CHECK(entry_count == section_count, where, ": manifest lists ",
                entry_count, " tensors but the section table has ",
@@ -394,51 +401,40 @@ parseArtifactLayout(const uint8_t *data, size_t size)
         prev_end = off + bytes;
     }
 
-    // v2.1 checksum table: [header digest][one checksum per section],
-    // after the last payload. The header digest (header + manifest +
-    // section table) is verified here — it is tiny next to the
-    // payloads, and everything it covers was just read anyway; payload
-    // verification policy belongs to the caller (ArtifactReader's
-    // EDKM_VERIFY modes, ModelArtifact::deserialize's eager check).
-    layout.hasChecksums = (flags & kArtifactFlagChecksums) != 0;
-    if (layout.hasChecksums) {
-        uint64_t table_bytes =
-            (1 + static_cast<uint64_t>(section_count)) * 8;
-        EDKM_CHECK(checksum_off % kArtifactAlign == 0, where,
-                   ": checksum table offset ", checksum_off, " is not ",
-                   kArtifactAlign, "-byte aligned");
-        EDKM_CHECK(checksum_off >= prev_end, where,
-                   ": checksum table at offset ", checksum_off,
-                   " overlaps the payload sections (end at ", prev_end,
-                   ")");
-        EDKM_CHECK(checksum_off <= size &&
-                       table_bytes <= size - checksum_off,
-                   where, ": checksum table (", table_bytes,
-                   " bytes at offset ", checksum_off,
-                   ") runs past the end of the file");
-        layout.checksumTableOffset = static_cast<int64_t>(checksum_off);
-        size_t cat = static_cast<size_t>(checksum_off);
-        layout.headerDigest = serial::readPod<uint64_t>(file, cat);
-        for (uint32_t i = 0; i < section_count; ++i) {
-            layout.sections[i].checksum =
-                serial::readPod<uint64_t>(file, cat);
-        }
-        uint64_t got = checksum64(data, payload_floor);
-        EDKM_CHECK(got == layout.headerDigest, where,
-                   ": header/manifest/section-table digest mismatch "
-                   "(stored ", layout.headerDigest, ", computed ", got,
-                   ") — container metadata is corrupted");
+    // Checksum table: [header digest][one checksum per section], after
+    // the last payload. The header digest (header + manifest + section
+    // table) is verified here — it is tiny next to the payloads, and
+    // everything it covers was just read anyway; payload verification
+    // policy belongs to the caller (ArtifactReader's EDKM_VERIFY modes,
+    // ModelArtifact::deserialize's eager check).
+    uint64_t table_bytes = (1 + static_cast<uint64_t>(section_count)) * 8;
+    EDKM_CHECK(checksum_off % kArtifactAlign == 0, where,
+               ": checksum table offset ", checksum_off, " is not ",
+               kArtifactAlign, "-byte aligned");
+    EDKM_CHECK(checksum_off >= prev_end, where,
+               ": checksum table at offset ", checksum_off,
+               " overlaps the payload sections (end at ", prev_end, ")");
+    EDKM_CHECK(checksum_off <= size && table_bytes <= size - checksum_off,
+               where, ": checksum table (", table_bytes,
+               " bytes at offset ", checksum_off,
+               ") runs past the end of the file");
+    layout.checksumTableOffset = static_cast<int64_t>(checksum_off);
+    size_t cat = static_cast<size_t>(checksum_off);
+    layout.headerDigest = serial::readPod<uint64_t>(file, cat);
+    for (uint32_t i = 0; i < section_count; ++i) {
+        layout.sections[i].checksum = serial::readPod<uint64_t>(file, cat);
     }
+    uint64_t got = checksum64(data, payload_floor);
+    EDKM_CHECK(got == layout.headerDigest, where,
+               ": header/manifest/section-table digest mismatch "
+               "(stored ", layout.headerDigest, ", computed ", got,
+               ") — container metadata is corrupted");
     return layout;
 }
 
 void
-verifyArtifactSection(const ArtifactLayout &layout,
-                      const TensorSection &s, const uint8_t *data)
+verifyArtifactSection(const TensorSection &s, const uint8_t *data)
 {
-    if (!layout.hasChecksums) {
-        return;
-    }
     uint64_t got = checksum64(data + s.offset,
                               static_cast<size_t>(s.bytes));
     EDKM_CHECK(got == s.checksum, "artifact v2.1: section '", s.name,
@@ -447,16 +443,9 @@ verifyArtifactSection(const ArtifactLayout &layout,
 }
 
 std::vector<uint8_t>
-ModelArtifact::serialize(bool with_checksums) const
+ModelArtifact::serialize() const
 {
-    // Manifest: head + per-entry metadata + section index.
-    std::vector<uint8_t> manifest;
-    appendManifestHead(manifest, *this);
-    serial::appendPod(manifest, static_cast<uint32_t>(entries.size()));
-    for (size_t i = 0; i < entries.size(); ++i) {
-        appendEntryMeta(manifest, entries[i]);
-        serial::appendPod(manifest, static_cast<uint32_t>(i));
-    }
+    std::vector<uint8_t> manifest = buildManifest(*this);
 
     int64_t table_off =
         alignUp(kArtifactAlign + static_cast<int64_t>(manifest.size()));
@@ -468,17 +457,12 @@ ModelArtifact::serialize(bool with_checksums) const
         offsets[i] = cur;
         cur = alignUp(cur + entries[i].payloadBytes());
     }
-    // v2.1: the checksum table ([header digest][per-section checksums])
+    // The checksum table ([header digest][per-section checksums])
     // trails the last payload; its offset rides in the header word
-    // v2.0 wrote as reserved-zero, so v2.0 readers still parse these
-    // files (flags and the reserved word are ignored there, and the
-    // declared file size simply covers the extra tail).
-    int64_t checksum_off = with_checksums ? cur : 0;
-    int64_t file_bytes =
-        with_checksums
-            ? alignUp(checksum_off +
-                      (1 + static_cast<int64_t>(entries.size())) * 8)
-            : cur;
+    // v2.0 wrote as reserved-zero.
+    int64_t checksum_off = cur;
+    int64_t file_bytes = alignUp(
+        checksum_off + (1 + static_cast<int64_t>(entries.size())) * 8);
 
     std::vector<uint8_t> header;
     serial::appendPod(header, kArtifactMagicV2);
@@ -488,9 +472,7 @@ ModelArtifact::serialize(bool with_checksums) const
     serial::appendPod(header, static_cast<uint64_t>(manifest.size()));
     serial::appendPod(header, static_cast<uint64_t>(table_off));
     serial::appendPod(header, static_cast<uint32_t>(entries.size()));
-    serial::appendPod(header,
-                      with_checksums ? kArtifactFlagChecksums
-                                     : uint32_t{0}); // flags
+    serial::appendPod(header, kArtifactFlagChecksums); // flags
     serial::appendPod(header, static_cast<uint64_t>(file_bytes));
     serial::appendPod(header, static_cast<uint64_t>(checksum_off));
     EDKM_ASSERT(static_cast<int64_t>(header.size()) <= kArtifactAlign,
@@ -509,33 +491,16 @@ ModelArtifact::serialize(bool with_checksums) const
         std::memcpy(buf.data() + offsets[i], entries[i].payload.data(),
                     entries[i].payload.size());
     }
-    if (with_checksums) {
-        uint8_t *sums = buf.data() + checksum_off;
-        // Header digest covers everything ahead of the payloads:
-        // header, manifest (and its padding) and the section table.
-        uint64_t digest = checksum64(
-            buf.data(), static_cast<size_t>(table_off) +
-                            entries.size() * 16);
-        std::memcpy(sums, &digest, 8);
-        for (size_t i = 0; i < entries.size(); ++i) {
-            uint64_t sum = checksum64(buf.data() + offsets[i],
-                                      entries[i].payload.size());
-            std::memcpy(sums + 8 + i * 8, &sum, 8);
-        }
-    }
-    return buf;
-}
-
-std::vector<uint8_t>
-ModelArtifact::serializeV1() const
-{
-    std::vector<uint8_t> buf;
-    serial::appendPod(buf, kArtifactMagicV1);
-    appendManifestHead(buf, *this);
-    serial::appendPod(buf, static_cast<uint32_t>(entries.size()));
-    for (const ArtifactEntry &e : entries) {
-        appendEntryMeta(buf, e);
-        serial::appendBytes(buf, e.payload);
+    uint8_t *sums = buf.data() + checksum_off;
+    // Header digest covers everything ahead of the payloads: header,
+    // manifest (and its padding) and the section table.
+    uint64_t digest = checksum64(
+        buf.data(), static_cast<size_t>(table_off) + entries.size() * 16);
+    std::memcpy(sums, &digest, 8);
+    for (size_t i = 0; i < entries.size(); ++i) {
+        uint64_t sum = checksum64(buf.data() + offsets[i],
+                                  entries[i].payload.size());
+        std::memcpy(sums + 8 + i * 8, &sum, 8);
     }
     return buf;
 }
@@ -543,53 +508,24 @@ ModelArtifact::serializeV1() const
 ModelArtifact
 ModelArtifact::deserialize(serial::ByteSpan bytes)
 {
-    if (isArtifactV2(bytes.data, bytes.size)) {
-        ArtifactLayout layout =
-            parseArtifactLayout(bytes.data, bytes.size);
-        ModelArtifact a;
-        a.scheme = layout.scheme;
-        a.config = layout.config;
-        a.size = layout.size;
-        a.entries.reserve(layout.sections.size());
-        for (const TensorSection &s : layout.sections) {
-            // Eager tooling path: verify every checksummed payload
-            // before it is copied (v2.0 layouts have none to verify).
-            verifyArtifactSection(layout, s, bytes.data);
-            ArtifactEntry e;
-            e.name = s.name;
-            e.codec = s.codec;
-            e.bits = s.bits;
-            e.shape = s.shape;
-            e.payload.assign(bytes.data + s.offset,
-                             bytes.data + s.offset + s.bytes);
-            a.entries.push_back(std::move(e));
-        }
-        return a;
-    }
-
-    // Legacy v1 stream, gated on its magic.
-    size_t at = 0;
-    EDKM_CHECK(serial::readPod<uint64_t>(bytes, at) == kArtifactMagicV1,
-               "ModelArtifact::deserialize: bad magic (not an eDKM "
-               "model artifact)");
+    ArtifactLayout layout = parseArtifactLayout(bytes.data, bytes.size);
     ModelArtifact a;
-    readManifestHead(bytes, at, a.scheme, a.config, a.size,
-                     "ModelArtifact::deserialize");
-    uint32_t n = serial::readPod<uint32_t>(bytes, at);
-    a.entries.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-        EntryMeta m =
-            readEntryMeta(bytes, at, "ModelArtifact::deserialize");
+    a.scheme = layout.scheme;
+    a.config = layout.config;
+    a.size = layout.size;
+    a.entries.reserve(layout.sections.size());
+    for (const TensorSection &s : layout.sections) {
+        // Eager tooling path: verify every payload before it is copied.
+        verifyArtifactSection(s, bytes.data);
         ArtifactEntry e;
-        e.name = std::move(m.name);
-        e.codec = m.codec;
-        e.bits = m.bits;
-        e.shape = std::move(m.shape);
-        e.payload = serial::readBytes(bytes, at);
+        e.name = s.name;
+        e.codec = s.codec;
+        e.bits = s.bits;
+        e.shape = s.shape;
+        e.payload.assign(bytes.data + s.offset,
+                         bytes.data + s.offset + s.bytes);
         a.entries.push_back(std::move(e));
     }
-    EDKM_CHECK(at == bytes.size, "ModelArtifact::deserialize: ",
-               bytes.size - at, " trailing bytes");
     return a;
 }
 

@@ -12,13 +12,14 @@
  * left behind: every codec decodes to exactly the tensor the adapter
  * installed.
  *
- * On-disk container (v2, the default; see docs/artifact_v2.md): a
- * 64-byte header, a manifest describing every tensor, a section table,
- * then one 64-byte-aligned payload section per tensor. The layout is
- * mmap-friendly — serve/ArtifactReader maps the file read-only and
- * consumes payload sections in place, without the up-front dense decode
- * this class's reconstruct() performs. v1 (the legacy single-stream
- * format) stays readable behind a version gate; serialize() emits v2.
+ * On-disk container (v2.1, the only format; see docs/artifact_v2.md):
+ * a 64-byte header, a manifest describing every tensor, a section
+ * table, one 64-byte-aligned payload section per tensor, then a
+ * checksum table. The layout is mmap-friendly — serve/ArtifactReader
+ * maps the file read-only and consumes payload sections in place,
+ * without the up-front dense decode this class's reconstruct()
+ * performs. Legacy input (a v1 stream, or a v2.0 container without
+ * the checksum table) is rejected with a FatalError naming the cause.
  *
  * The manifest's SizeReport is *accounting* (deployed bytes at the
  * scheme's storage format); the container itself trades a few bytes
@@ -32,13 +33,46 @@
 #include <string>
 #include <vector>
 
-#include "eval/compress.h"
 #include "nn/transformer.h"
 #include "tensor/tensor.h"
 #include "util/serial.h"
 
 namespace edkm {
 namespace api {
+
+/** Size accounting for one compressed model. */
+struct SizeReport
+{
+    std::string scheme;
+    int64_t payloadBytes = 0;  ///< all parameters, serialized format
+    double bitsPerWeight = 0.0;
+    double projectedGb7B = 0.0; ///< GiB at LLaMA-7B's composition
+
+    /**
+     * One JSON object (`{"scheme": ..., "payload_bytes": ...,
+     * "bits_per_weight": ..., "projected_gb_7b": ...}`) for the
+     * BENCH_*.json machine-readable bench outputs.
+     */
+    std::string toJson() const;
+};
+
+/** Parameters LLaMA-7B has (for the projected size column). */
+constexpr double kLlama7bParams = 6.74e9;
+
+/** Of which input embedding + output head (the "embedding layers"). */
+constexpr double kLlama7bEmbedParams = 2.62e8;
+
+/** GiB a model of @p params at @p bits_per_weight occupies. */
+double projectedGb(double bits_per_weight, double params = kLlama7bParams);
+
+/**
+ * Composition-corrected 7B projection: mini models are embedding-heavy
+ * (30%+ of parameters vs ~4% at 7B), so projecting the blended rate
+ * overstates the embedding contribution. This projects the *linear*
+ * rate and the *embedding* rate onto LLaMA-7B's composition.
+ */
+double projectedGbComposed(double linear_bits_per_weight,
+                           double embed_bits_per_weight);
 
 /** Payload encodings a ModelArtifact entry can use. */
 enum class Codec : uint32_t {
@@ -51,20 +85,18 @@ enum class Codec : uint32_t {
 /** Human-readable codec tag ("raw_f32", "palettized", ...). */
 std::string codecName(Codec codec);
 
-/** Container format versions understood by deserialize/load. */
-constexpr uint32_t kArtifactVersionV1 = 1;
+/** Container format version written and read (v2.1 = v2 + checksums). */
 constexpr uint32_t kArtifactVersionV2 = 2;
 
 /** Alignment of the v2 section table and every payload section. */
 constexpr int64_t kArtifactAlign = 64;
 
 /**
- * Header flags bit: the container carries a v2.1 checksum table (one
+ * Header flags bit: the container carries its v2.1 checksum table (one
  * 64-bit digest of header+manifest+section table, then one 64-bit
  * checksum per payload section) at the file offset stored in the
- * header word that v2.0 wrote as reserved-zero. Files without the bit
- * are plain v2.0 and skip verification; files with it still parse in
- * v2.0 readers, which ignore flags and never read the reserved word.
+ * header word that v2.0 wrote as reserved-zero. Every file this build
+ * writes sets it; a v2 header without it is a v2.0 file and rejected.
  */
 constexpr uint32_t kArtifactFlagChecksums = 1u;
 
@@ -105,8 +137,7 @@ struct TensorSection
     Shape shape;
     int64_t offset = 0; ///< absolute, kArtifactAlign-aligned
     int64_t bytes = 0;
-    /** v2.1: checksum64 of the payload bytes [offset, offset+bytes).
-     *  Only meaningful when the layout's hasChecksums is set. */
+    /** checksum64 of the payload bytes [offset, offset+bytes). */
     uint64_t checksum = 0;
 };
 
@@ -121,42 +152,31 @@ struct ArtifactLayout
 {
     std::string scheme;
     nn::LlamaConfig config;
-    eval::SizeReport size;
+    SizeReport size;
     std::vector<TensorSection> sections;
-    /** v2.1: the container carries a checksum table (see
-     *  kArtifactFlagChecksums); parse verified the header digest and
-     *  populated each section's checksum. */
-    bool hasChecksums = false;
     /** Digest of bytes [0, section table end) — header, manifest and
-     *  section table together. */
+     *  section table together; parse verified it. */
     uint64_t headerDigest = 0;
-    /** Absolute offset of the checksum table ([digest][per-section...]),
-     *  0 when hasChecksums is false. */
+    /** Absolute offset of the checksum table ([digest][per-section...]). */
     int64_t checksumTableOffset = 0;
 };
 
-/** True when @p data starts with the v2 container magic. */
-bool isArtifactV2(const uint8_t *data, size_t size);
-
-/** True when @p data starts with the legacy v1 stream magic. */
-bool isArtifactV1(const uint8_t *data, size_t size);
-
 /**
- * Parse and validate a v2 container's header, manifest and section
- * table from @p data (the whole file, typically an mmap). Throws
- * FatalError with the offending section's name on any inconsistency;
- * payload bytes themselves are not read.
+ * Parse and validate a v2.1 container's header, manifest, section
+ * table and header digest from @p data (the whole file, typically an
+ * mmap). Throws FatalError with the offending section's name on any
+ * inconsistency, and one naming the format for legacy input (a v1
+ * stream, or a v2.0 header without the checksum flag); payload bytes
+ * themselves are not read.
  */
 ArtifactLayout parseArtifactLayout(const uint8_t *data, size_t size);
 
 /**
- * Verify one payload section of @p layout against the file bytes at
- * @p data (the whole container, the same base parseArtifactLayout
- * saw). Throws FatalError naming the section on a checksum mismatch;
- * no-op when the layout carries no checksums (v2.0 files).
+ * Verify one payload section against the file bytes at @p data (the
+ * whole container, the same base parseArtifactLayout saw). Throws
+ * FatalError naming the section on a checksum mismatch.
  */
-void verifyArtifactSection(const ArtifactLayout &layout,
-                           const TensorSection &s, const uint8_t *data);
+void verifyArtifactSection(const TensorSection &s, const uint8_t *data);
 
 /** A compressed model: manifest + per-parameter payloads. */
 class ModelArtifact
@@ -166,7 +186,7 @@ class ModelArtifact
 
     std::string scheme;        ///< registry name that produced this
     nn::LlamaConfig config;    ///< geometry needed to reconstruct
-    eval::SizeReport size;     ///< accounting (deployed format)
+    SizeReport size;           ///< accounting (deployed format)
     std::vector<ArtifactEntry> entries;
 
     /** Entry for parameter @p name; throws FatalError when absent. */
@@ -187,18 +207,13 @@ class ModelArtifact
 
     /**
      * Binary serialisation. serialize() emits the sectioned, aligned
-     * v2 container — by default v2.1, with a per-section checksum
-     * table appended and flagged in the header; pass
-     * @p with_checksums=false for a plain v2.0 file (compat tooling
-     * and the format tests). serializeV1() emits the legacy v1 stream
-     * (kept for compatibility tests and old tooling). deserialize()
-     * accepts all three, gated on the magic; checksums, when present,
-     * are verified (every section) before any payload is decoded. The
-     * span overload parses in place (e.g. straight from a file
-     * mapping), copying only payloads.
+     * v2.1 container: payload sections plus a checksum table flagged
+     * in the header. deserialize() verifies every section's checksum
+     * before any payload is copied and rejects legacy input (see
+     * parseArtifactLayout). The span overload parses in place (e.g.
+     * straight from a file mapping), copying only payloads.
      */
-    std::vector<uint8_t> serialize(bool with_checksums = true) const;
-    std::vector<uint8_t> serializeV1() const;
+    std::vector<uint8_t> serialize() const;
     static ModelArtifact deserialize(serial::ByteSpan bytes);
     static ModelArtifact deserialize(const std::vector<uint8_t> &bytes)
     {

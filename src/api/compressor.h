@@ -27,7 +27,6 @@
 
 #include "api/artifact.h"
 #include "api/plan.h"
-#include "eval/compress.h"
 #include "eval/train.h"
 #include "nn/transformer.h"
 #include "tensor/tensor.h"
@@ -103,7 +102,7 @@ struct CalibData
 /** What one compression run produced. */
 struct CompressionReport
 {
-    eval::SizeReport size; ///< accounting (scheme, bytes, bits, GB@7B)
+    SizeReport size; ///< accounting (scheme, bytes, bits, GB@7B)
 
     /**
      * Payload per touched parameter (Linear weights, plus the

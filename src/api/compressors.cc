@@ -11,9 +11,8 @@
  * weight through FP16 and ship a dense FP16 payload, while the
  * SizeReport still accounts the scheme's true storage format.
  *
- * Accounting mirrors the legacy eval free functions: non-Linear
- * parameters at FP16, skipped Linears at FP16, compressed Linears at
- * their serialized payload size.
+ * Accounting: non-Linear parameters at FP16, skipped Linears at FP16,
+ * compressed Linears at their serialized payload size.
  */
 
 #include <memory>
@@ -39,11 +38,58 @@ namespace api {
 
 namespace {
 
-// Size accounting shared with the legacy eval entry points (one
-// definition keeps both paths' SizeReports in agreement).
-using eval::detail::fp16SideBytes;
-using eval::detail::linearBits;
-using eval::detail::makeSizeReport;
+/** Non-Linear (norm/embedding) parameter bytes at FP16. */
+int64_t
+fp16SideBytes(nn::MiniLlama &model, bool include_embedding)
+{
+    int64_t bytes = 0;
+    for (const auto &[name, p] : model.namedParameters()) {
+        bool is_linear_weight =
+            name.find("wq") != std::string::npos ||
+            name.find("wk") != std::string::npos ||
+            name.find("wv") != std::string::npos ||
+            name.find("wo") != std::string::npos ||
+            name.find("w1") != std::string::npos ||
+            name.find("w2") != std::string::npos ||
+            name.find("w3") != std::string::npos ||
+            name.find("lm_head") != std::string::npos;
+        bool is_embedding = name.find("embed") != std::string::npos;
+        if (!is_linear_weight && (include_embedding || !is_embedding)) {
+            bytes += p.data().numel() * 2; // FP16
+        }
+    }
+    return bytes;
+}
+
+/** Effective bits/weight of the Linear parameters under @p payload. */
+double
+linearBits(nn::MiniLlama &model, int64_t linear_payload_bytes)
+{
+    int64_t linear_params = 0;
+    for (auto &[name, linear] : model.allLinears()) {
+        (void)name;
+        linear_params += linear->weight().data().numel();
+    }
+    return 8.0 * static_cast<double>(linear_payload_bytes) /
+           static_cast<double>(linear_params);
+}
+
+/**
+ * @param linear_bits  effective bits/weight over Linear parameters
+ * @param embed_bits   effective bits/weight over embedding parameters
+ */
+SizeReport
+makeSizeReport(const std::string &scheme, int64_t payload_bytes,
+               int64_t total_params, double linear_bits, double embed_bits)
+{
+    SizeReport r;
+    r.scheme = scheme;
+    r.payloadBytes = payload_bytes;
+    r.bitsPerWeight = 8.0 * static_cast<double>(payload_bytes) /
+                      static_cast<double>(total_params);
+    r.projectedGb7B = projectedGbComposed(linear_bits, embed_bits);
+    return r;
+}
 
 /** Round every element of @p t through FP16 (its deployed precision). */
 Tensor
@@ -414,8 +460,7 @@ class QatCompressor : public Compressor
 
 /**
  * DKM/eDKM train-time clustering. Owns its EdkmLayers for the whole
- * run (fixing the legacy attachEdkm lifetime footgun where dropping
- * the returned vector dangled the weight transforms).
+ * run, so the installed weight transforms never dangle.
  */
 class EdkmCompressor : public Compressor
 {

@@ -1,7 +1,7 @@
 // AVX-512 backend instantiation. This TU is compiled with -mavx512f
-// -ffp-contract=off (and the EDKM_COMPILE_AVX512 definition) only when
-// the build host targets x86, the compiler knows the flag and the
-// EDKM_SIMD CMake option allows it; otherwise it compiles to nothing.
+// (and the EDKM_COMPILE_AVX512 definition) only when the build host
+// targets x86, the compiler knows the flag and the EDKM_SIMD CMake
+// option allows it; otherwise it compiles to nothing. The library-wide
 // -ffp-contract=off matters here: -mavx512f drags in FMA, and the
 // scalar tail loops of the shared kernel templates must not be
 // contracted into fused multiply-adds or this backend would break the
@@ -14,6 +14,10 @@
 
 #if defined(EDKM_COMPILE_AVX512) && defined(__AVX512F__)
 
+// GCC's _mm512_undefined_* self-initialise on purpose ("__Y = __Y"),
+// which -Wmaybe-uninitialized reports once inlined via simd.h.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include "kernels/kernels_impl.h"
 
 namespace edkm {
@@ -29,5 +33,7 @@ avx512KernelTable()
 
 } // namespace kernels
 } // namespace edkm
+
+#pragma GCC diagnostic pop
 
 #endif // EDKM_COMPILE_AVX512 && __AVX512F__

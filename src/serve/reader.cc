@@ -100,56 +100,23 @@ ArtifactReader::open(const std::string &path, VerifyMode verify)
     auto r = std::shared_ptr<ArtifactReader>(new ArtifactReader());
     r->file_bytes_ = static_cast<int64_t>(mapping->size());
     r->verify_ = verify;
-    if (api::isArtifactV2(mapping->data(), mapping->size())) {
-        r->version_ = api::kArtifactVersionV2;
-        // The header/manifest/section-table digest is checked inside
-        // the parse whenever the file carries one, in every mode —
-        // it is a handful of KB against the payload gigabytes, and a
-        // corrupt section table must never direct payload reads.
-        r->layout_ =
-            api::parseArtifactLayout(mapping->data(), mapping->size());
-        r->mapping_ = std::move(mapping);
-        r->buildIndex();
-        if (r->layout_.hasChecksums && verify != VerifyMode::kOff) {
-            r->verified_ = std::make_unique<std::atomic<bool>[]>(
-                r->layout_.sections.size());
-            for (size_t i = 0; i < r->layout_.sections.size(); ++i) {
-                r->verified_[i].store(false,
-                                      std::memory_order_relaxed);
-            }
-            if (verify == VerifyMode::kEager) {
-                r->verifyAll();
-            }
-        }
-        return r;
-    }
-    EDKM_CHECK(api::isArtifactV1(mapping->data(), mapping->size()),
-               "artifact reader: ", path,
-               " is not an eDKM model artifact (bad magic)");
-    // v1 compat: deserialize straight from the mapping (payloads are
-    // interleaved with the manifest, so they cannot be borrowed in
-    // place — they are copied into compat_ and the mapping dropped);
-    // views then borrow from the in-memory artifact, which the reader
-    // and every view keep alive.
-    r->version_ = api::kArtifactVersionV1;
-    r->compat_ = std::make_shared<api::ModelArtifact>(
-        api::ModelArtifact::deserialize(
-            serial::ByteSpan(mapping->data(), mapping->size())));
-    mapping.reset();
-    r->layout_.scheme = r->compat_->scheme;
-    r->layout_.config = r->compat_->config;
-    r->layout_.size = r->compat_->size;
-    for (const api::ArtifactEntry &e : r->compat_->entries) {
-        api::TensorSection s;
-        s.name = e.name;
-        s.codec = e.codec;
-        s.bits = e.bits;
-        s.shape = e.shape;
-        s.offset = 0; // payloads live in compat_, not at file offsets
-        s.bytes = e.payloadBytes();
-        r->layout_.sections.push_back(std::move(s));
-    }
+    // The header/manifest/section-table digest is checked inside the
+    // parse in every mode — it is a handful of KB against the payload
+    // gigabytes, and a corrupt section table must never direct payload
+    // reads. Legacy (v1, v2.0) files fail here, named.
+    r->layout_ = api::parseArtifactLayout(mapping->data(), mapping->size());
+    r->mapping_ = std::move(mapping);
     r->buildIndex();
+    if (verify != VerifyMode::kOff) {
+        r->verified_ = std::make_unique<std::atomic<bool>[]>(
+            r->layout_.sections.size());
+        for (size_t i = 0; i < r->layout_.sections.size(); ++i) {
+            r->verified_[i].store(false, std::memory_order_relaxed);
+        }
+        if (verify == VerifyMode::kEager) {
+            r->verifyAll();
+        }
+    }
     return r;
 }
 
@@ -190,12 +157,9 @@ ArtifactReader::section(const std::string &name) const
 const uint8_t *
 ArtifactReader::payload(const api::TensorSection &s) const
 {
-    if (compat_ != nullptr) {
-        return compat_->entry(s.name).payload.data();
-    }
     // Lazy mode: the first view of a section pays for its checksum
     // right here, before anyone consumes the bytes. Eager mode already
-    // verified at open; off mode (or a checksum-less file) never does.
+    // verified at open; off mode never does.
     if (verified_ != nullptr && verify_ == VerifyMode::kLazy) {
         verifySection(s);
     }
@@ -212,7 +176,7 @@ ArtifactReader::verifySection(const api::TensorSection &s) const
     if (verified_[i].load(std::memory_order_acquire)) {
         return;
     }
-    api::verifyArtifactSection(layout_, s, mapping_->data());
+    api::verifyArtifactSection(s, mapping_->data());
     if (!verified_[i].exchange(true, std::memory_order_acq_rel)) {
         verified_count_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -222,20 +186,11 @@ void
 ArtifactReader::verifyAll() const
 {
     if (verified_ == nullptr) {
-        return; // no checksums, or opened with kOff
+        return; // opened with kOff
     }
     for (const api::TensorSection &s : layout_.sections) {
         verifySection(s);
     }
-}
-
-std::shared_ptr<const void>
-ArtifactReader::keepAlive() const
-{
-    if (compat_ != nullptr) {
-        return compat_;
-    }
-    return mapping_;
 }
 
 Tensor
@@ -251,7 +206,7 @@ ArtifactReader::denseView(const std::string &name) const
         s.codec == api::Codec::kRawF32 ? DType::kF32 : DType::kF16;
     auto storage = Storage::borrow(
         reinterpret_cast<const std::byte *>(payload(s)), s.bytes,
-        Device::cpu(), keepAlive());
+        Device::cpu(), mapping_);
     Shape strides(s.shape.size());
     int64_t acc = 1;
     for (int64_t d = static_cast<int64_t>(s.shape.size()) - 1; d >= 0;
@@ -271,7 +226,7 @@ ArtifactReader::paletteView(const std::string &name) const
                "artifact reader: section '", name, "' is ",
                api::codecName(s.codec), ", not palettized");
     PaletteView v = parsePaletteView(
-        payload(s), static_cast<size_t>(s.bytes), keepAlive());
+        payload(s), static_cast<size_t>(s.bytes), mapping_);
     EDKM_CHECK(v.shape == s.shape, "artifact reader: section '", name,
                "': palettized payload shape disagrees with the manifest");
     return v;
@@ -289,30 +244,6 @@ ArtifactReader::decode(const std::string &name) const
     const uint8_t *p = payload(s);
     e.payload.assign(p, p + s.bytes);
     return e.decode();
-}
-
-api::ModelArtifact
-ArtifactReader::toArtifact() const
-{
-    if (compat_ != nullptr) {
-        return *compat_;
-    }
-    api::ModelArtifact a;
-    a.scheme = layout_.scheme;
-    a.config = layout_.config;
-    a.size = layout_.size;
-    a.entries.reserve(layout_.sections.size());
-    for (const api::TensorSection &s : layout_.sections) {
-        api::ArtifactEntry e;
-        e.name = s.name;
-        e.codec = s.codec;
-        e.bits = s.bits;
-        e.shape = s.shape;
-        const uint8_t *p = payload(s);
-        e.payload.assign(p, p + s.bytes);
-        a.entries.push_back(std::move(e));
-    }
-    return a;
 }
 
 } // namespace serve

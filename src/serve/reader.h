@@ -15,20 +15,17 @@
  *   - decode():      eager dense f32 decode of any section, bit-
  *                    identical to ArtifactEntry::decode.
  *
- * v2.1 checksummed containers are verified on the way in: the header /
- * manifest / section-table digest is always checked at open (inside
+ * Containers are verified on the way in: the header / manifest /
+ * section-table digest is always checked at open (inside
  * parseArtifactLayout), and payload sections are checked against their
  * per-section checksum under a VerifyMode — kEager checks every
  * section at open, kLazy (the default) checks each section once on its
  * first payload() view from whichever thread gets there first, kOff
  * trusts the bytes. The EDKM_VERIFY=eager|lazy|off environment knob
  * selects the mode for the env-driven open(); a corruption error
- * always names the bad section. Files without checksums (v2.0, v1)
- * skip payload verification entirely.
- *
- * Legacy v1 files load through the compatibility path (whole-stream
- * deserialize); views then borrow from the in-memory artifact instead
- * of a mapping, with the same lifetime guarantees.
+ * always names the bad section. The reader opens v2.1 only: a v1
+ * stream or a v2.0 container without checksums fails open() with a
+ * FatalError naming the format.
  */
 
 #ifndef EDKM_SERVE_READER_H_
@@ -50,8 +47,8 @@ namespace serve {
 
 /**
  * A read-only byte source for one artifact file: an mmap-ed range or a
- * heap copy (fallback / v1 compat). Borrowed storages hold it via
- * shared_ptr, so views outlive the reader safely.
+ * heap copy (read fallback). Borrowed storages hold it via shared_ptr,
+ * so views outlive the reader safely.
  */
 class FileMapping
 {
@@ -92,12 +89,12 @@ class ArtifactReader
 {
   public:
     /**
-     * Open @p path. v2 containers are validated (header, manifest,
-     * section table) without touching payload bytes; v1 files are
-     * deserialized whole. Throws FatalError with the offending section
-     * named on any corruption. The verify mode is read from
-     * EDKM_VERIFY (eager|lazy|off; unset/empty means lazy; anything
-     * else throws).
+     * Open @p path. The container is validated (header, manifest,
+     * section table, header digest) without touching payload bytes.
+     * Throws FatalError with the offending section named on any
+     * corruption, and naming the format for legacy input. The verify
+     * mode is read from EDKM_VERIFY (eager|lazy|off; unset/empty means
+     * lazy; anything else throws).
      */
     static std::shared_ptr<ArtifactReader> open(const std::string &path);
 
@@ -108,31 +105,25 @@ class ArtifactReader
     /** Payload verification policy this reader was opened with. */
     VerifyMode verifyMode() const { return verify_; }
 
-    /** True when the container carries a v2.1 checksum table. */
-    bool hasChecksums() const { return layout_.hasChecksums; }
-
     /** Payload sections checksum-verified so far (eager: all at open;
-     *  lazy: grows with first views; off / no checksums: stays 0). */
+     *  lazy: grows with first views; off: stays 0). */
     int64_t sectionsVerified() const
     {
         return verified_count_.load(std::memory_order_relaxed);
     }
 
     /** Verify every not-yet-verified payload section now (what kEager
-     *  does at open). No-op without checksums or in kOff. */
+     *  does at open). No-op in kOff. */
     void verifyAll() const;
 
-    /** Container version of the underlying file (1 or 2). */
-    uint32_t version() const { return version_; }
-
     /** True when payloads are served from an actual file mapping. */
-    bool mapped() const { return mapping_ && mapping_->mapped(); }
+    bool mapped() const { return mapping_->mapped(); }
 
     int64_t fileBytes() const;
 
     const std::string &scheme() const { return layout_.scheme; }
     const nn::LlamaConfig &config() const { return layout_.config; }
-    const eval::SizeReport &sizeReport() const { return layout_.size; }
+    const api::SizeReport &sizeReport() const { return layout_.size; }
 
     /** All payload sections, in container order. */
     const std::vector<api::TensorSection> &sections() const
@@ -167,14 +158,8 @@ class ArtifactReader
      */
     Tensor decode(const std::string &name) const;
 
-    /** Materialise the whole artifact (tooling / compat). */
-    api::ModelArtifact toArtifact() const;
-
   private:
     ArtifactReader() = default;
-
-    /** The keep-alive token borrowed storages should hold. */
-    std::shared_ptr<const void> keepAlive() const;
 
     /** Rebuild the name -> section index after layout_ is filled. */
     void buildIndex();
@@ -183,7 +168,6 @@ class ArtifactReader
      *  section on mismatch. */
     void verifySection(const api::TensorSection &s) const;
 
-    uint32_t version_ = 0;
     int64_t file_bytes_ = 0;
     VerifyMode verify_ = VerifyMode::kLazy;
     api::ArtifactLayout layout_;
@@ -194,10 +178,8 @@ class ArtifactReader
      *  every later view from paying for it again. */
     mutable std::unique_ptr<std::atomic<bool>[]> verified_;
     mutable std::atomic<int64_t> verified_count_{0};
-    /** The v2 mapping; null for v1 files (payloads live in compat_). */
+    /** The file bytes; borrowed storages keep it alive. */
     std::shared_ptr<FileMapping> mapping_;
-    /** v1 compat: payloads live here instead of in the mapping. */
-    std::shared_ptr<api::ModelArtifact> compat_;
 };
 
 } // namespace serve

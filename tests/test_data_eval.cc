@@ -7,9 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "api/session.h"
 #include "data/synthetic.h"
 #include "data/tokenizer.h"
-#include "eval/compress.h"
 #include "eval/mc_harness.h"
 #include "eval/train.h"
 #include "util/rng.h"
@@ -173,11 +173,11 @@ TEST(Train, LossDecreases)
 TEST(SizeAccounting, ProjectedGbMatchesPaperAnchors)
 {
     // FP16 at 6.74B params ~ 12.55 GiB (paper: 12.6 GB).
-    EXPECT_NEAR(eval::projectedGb(16.0), 12.55, 0.1);
+    EXPECT_NEAR(api::projectedGb(16.0), 12.55, 0.1);
     // 3-bit palettized + small LUT overhead ~ 2.5 GB (paper: eDKM row).
-    EXPECT_NEAR(eval::projectedGb(3.0), 2.35, 0.1);
+    EXPECT_NEAR(api::projectedGb(3.0), 2.35, 0.1);
     // 4-bit g128 (4.25 effective bits) ~ 3.3-3.7 GB band.
-    double g128 = eval::projectedGb(4.0 + 32.0 / 128.0);
+    double g128 = api::projectedGb(4.0 + 32.0 / 128.0);
     EXPECT_GT(g128, 3.0);
     EXPECT_LT(g128, 3.8);
 }
@@ -189,14 +189,19 @@ TEST(SizeAccounting, SchemesOrderCorrectly)
     cfg.dim = 32;
     cfg.heads = 2;
     cfg.layers = 1;
-    nn::MiniLlama m16(cfg);
-    eval::SizeReport fp16 = eval::fp16Size(m16);
+    auto size = [&](const char *scheme, int bits) {
+        nn::MiniLlama m(cfg);
+        api::CompressionPlan plan;
+        plan.scheme = scheme;
+        plan.bits = bits;
+        plan.groupSize = 32;
+        return api::Session().run(m, plan, api::CalibData{}).report.size;
+    };
+    api::SizeReport fp16 = size("fp16", 16);
     EXPECT_NEAR(fp16.bitsPerWeight, 16.0, 1e-6);
 
-    nn::MiniLlama m4(cfg);
-    eval::SizeReport rtn4 = eval::applyRtn(m4, 4, 32);
-    nn::MiniLlama m3(cfg);
-    eval::SizeReport rtn3 = eval::applyRtn(m3, 3, 32);
+    api::SizeReport rtn4 = size("rtn", 4);
+    api::SizeReport rtn3 = size("rtn", 3);
     EXPECT_LT(rtn4.payloadBytes, fp16.payloadBytes);
     EXPECT_LT(rtn3.payloadBytes, rtn4.payloadBytes);
     EXPECT_GT(rtn3.projectedGb7B, 0.0);

@@ -444,6 +444,58 @@ TEST_F(EdkmEquivalence, MarshalOffloadKeepsGradientsIntact)
     }
 }
 
+TEST_F(EdkmEquivalence, GraphWalkDedupsSavedClusteredWeight)
+{
+    // Fig. 2's A / A^T pattern on the clustered weight: the loss reads
+    // W~ through a transpose into a matmul and directly (W~^T W~), so
+    // W~ is saved twice as two views of one storage. The graph walk
+    // stores one CPU copy and replays the transpose on unpack, and
+    // no-detection stores two; both feed dW, which must not change.
+    Rng rng(41);
+    Tensor w_gpu = Tensor::randn({64, 64}, rng, Device::cpu(), 0.02f)
+                       .to(DType::kBf16)
+                       .to(DType::kF32)
+                       .to(Device::gpu(0));
+    Tensor up_gpu = Tensor::randn({64, 64}, rng).to(Device::gpu(0));
+    EdkmConfig cfg;
+    cfg.dkm.bits = 3;
+    cfg.dkm.maxIters = 3;
+    cfg.dkm.convergenceEps = 0.0f;
+
+    struct Outcome
+    {
+        RunResult run;
+        MarshalStats stats;
+    };
+    auto train = [&](MarshalConfig::Detection det) {
+        MarshalConfig mc;
+        mc.detection = det;
+        mc.minOffloadBytes = 1;
+        MarshalContext ctx(mc);
+        EdkmLayer layer(cfg);
+        Variable wv(w_gpu.clone(), true);
+        Variable out;
+        Variable loss;
+        {
+            SavedTensorHooksGuard guard(&ctx);
+            out = layer.forward(wv);
+            Variable wt = af::transpose(out, 0, 1);
+            Variable gram = af::matmul(wt, out); // saves W~^T, then W~
+            loss = af::sumAll(af::mul(gram, af::constant(up_gpu)));
+        }
+        backward(loss);
+        return Outcome{{out.data(), wv.grad()}, ctx.stats()};
+    };
+
+    Outcome walk = train(MarshalConfig::Detection::kGraphWalk);
+    Outcome none = train(MarshalConfig::Detection::kNone);
+    EXPECT_GE(walk.stats.duplicatesAvoided, 1);
+    EXPECT_EQ(none.stats.duplicatesAvoided, 0);
+    EXPECT_LT(walk.stats.bytesCopied, none.stats.bytesCopied);
+    EXPECT_TRUE(sameBytes(walk.run.output, none.run.output));
+    EXPECT_TRUE(sameBytes(walk.run.grad, none.run.grad));
+}
+
 TEST_F(EdkmEquivalence, ReportDiagnostics)
 {
     EdkmConfig cfg;

@@ -8,13 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include "api/session.h"
 #include "autograd/engine.h"
 #include "autograd/functional.h"
 #include "core/dkm.h"
 #include "core/edkm.h"
 #include "data/synthetic.h"
 #include "device/device_manager.h"
-#include "eval/compress.h"
 #include "eval/mc_harness.h"
 #include "eval/train.h"
 #include "marshal/marshal.h"
@@ -35,6 +35,14 @@ tinyConfig()
     return cfg;
 }
 
+/** Run @p plan over every Linear of @p model through an api::Session. */
+api::SizeReport
+compress(nn::MiniLlama &model, const api::CompressionPlan &plan,
+         api::CalibData calib = api::CalibData{})
+{
+    return api::Session().run(model, plan, std::move(calib)).report.size;
+}
+
 TEST(Integration, EdkmFineTuningStepEndToEnd)
 {
     // One full fine-tuning step with eDKM attached to every linear and
@@ -45,7 +53,14 @@ TEST(Integration, EdkmFineTuningStepEndToEnd)
     EdkmConfig ecfg;
     ecfg.dkm.bits = 3;
     ecfg.dkm.maxIters = 2;
-    auto layers = eval::attachEdkm(model, ecfg);
+    std::vector<std::shared_ptr<EdkmLayer>> layers;
+    for (auto &[name, linear] : model.allLinears()) {
+        (void)name;
+        auto layer = std::make_shared<EdkmLayer>(ecfg);
+        layers.push_back(layer);
+        linear->setWeightTransform(
+            [layer](const Variable &w) { return layer->forward(w); });
+    }
     EXPECT_EQ(layers.size(), 8u);
 
     MarshalConfig mc;
@@ -75,7 +90,6 @@ TEST(Integration, EdkmFineTuningStepEndToEnd)
     }
     nn::AdamW::clipGradNorm(model.parameters(), 1.0f);
     opt.step();
-    eval::clearTransforms(model);
 }
 
 TEST(Integration, FineTuneWithEdkmThenFreeze)
@@ -98,20 +112,19 @@ TEST(Integration, FineTuneWithEdkmThenFreeze)
     eval::trainLm(model, stream, pre);
     float fp_loss = eval::evalLoss(model, stream, 2, 32, 4);
 
-    // Attach eDKM and fine-tune.
-    EdkmConfig ecfg;
-    ecfg.dkm.bits = 3;
-    ecfg.dkm.maxIters = 3;
-    auto layers = eval::attachEdkm(model, ecfg);
-    eval::TrainConfig ft;
-    ft.steps = 25;
-    ft.batch = 4;
-    ft.seq = 32;
-    ft.optimizer.lr = 1e-3f;
-    eval::trainLm(model, stream, ft);
-
-    // Freeze into the deployable format.
-    eval::SizeReport size = eval::freezeEdkm(model, layers, 8);
+    // Attach eDKM, fine-tune, and freeze into the deployable format.
+    api::CompressionPlan plan;
+    plan.scheme = "edkm";
+    plan.bits = 3;
+    plan.dkmMaxIters = 3;
+    plan.embeddingBits = 8;
+    api::CalibData calib;
+    calib.trainStream = &stream;
+    calib.trainConfig.steps = 25;
+    calib.trainConfig.batch = 4;
+    calib.trainConfig.seq = 32;
+    calib.trainConfig.optimizer.lr = 1e-3f;
+    api::SizeReport size = compress(model, plan, std::move(calib));
     float frozen_loss = eval::evalLoss(model, stream, 2, 32, 4);
 
     EXPECT_LT(size.bitsPerWeight, 16.0);
@@ -137,39 +150,30 @@ TEST(Integration, PostTrainingSchemesPreserveFunction)
     float ref_loss = eval::evalLoss(reference, stream, 2, 32, 4);
 
     Rng rng(9);
-    data::LmBatch calib =
+    data::LmBatch batch =
         data::SyntheticCorpus::sampleBatch(stream, 2, 24, rng);
 
     // Each scheme applied to an identically trained copy.
-    auto check = [&](const char *name, auto apply) {
+    auto check = [&](const char *scheme, int bits) {
         nn::MiniLlama m(cfg);
         eval::trainLm(m, stream, pre);
-        eval::SizeReport r = apply(m);
+        api::CompressionPlan plan;
+        plan.scheme = scheme;
+        plan.bits = bits;
+        plan.groupSize = 16;
+        plan.awqGridPoints = 5;
+        api::CalibData calib;
+        calib.tokens = batch.tokens;
+        api::SizeReport r = compress(m, plan, std::move(calib));
         float loss = eval::evalLoss(m, stream, 2, 32, 4);
-        EXPECT_LT(loss, ref_loss + 2.0f) << name;
-        EXPECT_LT(r.payloadBytes, eval::fp16Size(m).payloadBytes)
-            << name;
+        EXPECT_LT(loss, ref_loss + 2.0f) << scheme;
+        EXPECT_LT(r.payloadBytes, m.parameterCount() * 2) // fp16 size
+            << scheme;
     };
-    check("rtn", [&](nn::MiniLlama &m) {
-        return eval::applyRtn(m, 4, 16);
-    });
-    check("gptq", [&](nn::MiniLlama &m) {
-        quant::GptqConfig qc;
-        qc.bits = 4;
-        qc.groupSize = 16;
-        return eval::applyGptq(m, calib.tokens, qc);
-    });
-    check("awq", [&](nn::MiniLlama &m) {
-        quant::AwqConfig ac;
-        ac.bits = 4;
-        ac.groupSize = 16;
-        ac.gridPoints = 5;
-        return eval::applyAwq(m, calib.tokens, ac);
-    });
-    check("smoothquant", [&](nn::MiniLlama &m) {
-        quant::SmoothQuantConfig sc;
-        return eval::applySmoothQuant(m, calib.tokens, sc);
-    });
+    check("rtn", 4);
+    check("gptq", 4);
+    check("awq", 4);
+    check("smoothquant", 8);
 }
 
 TEST(Integration, Table2MemoryOrderingAtSmallScale)
@@ -258,7 +262,11 @@ TEST(Integration, AccuracyEvalRunsOnCompressedModel)
     data::SyntheticCorpus corpus(7);
     data::ByteTokenizer tok;
     auto suite = eval::buildSyntheticSuite(corpus, 3, 41);
-    eval::applyRtn(model, 4, 16);
+    api::CompressionPlan plan;
+    plan.scheme = "rtn";
+    plan.bits = 4;
+    plan.groupSize = 16;
+    compress(model, plan);
     eval::SuiteResult r = eval::evaluateSuite(model, tok, suite);
     EXPECT_EQ(r.taskAccuracy.size(), 7u);
     for (auto &[name, acc] : r.taskAccuracy) {

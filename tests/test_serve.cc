@@ -2,8 +2,8 @@
  * @file
  * Tests for the serving surface: borrowed-mode Storage lifetime and
  * accounting, the streamed matmul's bit-identity with the dense kernel,
- * palette views, the v2 artifact container (round trip, alignment, v1
- * compatibility gate, fuzz-ish corruption rejection), ArtifactReader
+ * palette views, the v2.1 artifact container (round trip, alignment,
+ * legacy-format rejection, fuzz-ish corruption rejection), ArtifactReader
  * zero-copy views, and InferenceEngine bit-exactness against the
  * eagerly reconstructed model for every codec.
  */
@@ -244,7 +244,6 @@ TEST(ArtifactV2, EmitsAlignedSectionsAndRoundTripsBitExact)
     api::SessionResult res = compressTiny(model, "rtn");
     std::vector<uint8_t> bytes = res.artifact.serialize();
 
-    ASSERT_TRUE(api::isArtifactV2(bytes.data(), bytes.size()));
     api::ArtifactLayout layout =
         api::parseArtifactLayout(bytes.data(), bytes.size());
     EXPECT_EQ(layout.scheme, "rtn");
@@ -265,40 +264,6 @@ TEST(ArtifactV2, EmitsAlignedSectionsAndRoundTripsBitExact)
     }
     // Serialisation is deterministic: same artifact, same bytes.
     EXPECT_EQ(bytes, back.serialize());
-}
-
-TEST(ArtifactV2, V1FilesStillLoadThroughTheVersionGate)
-{
-    nn::MiniLlama model = tinyModel();
-    api::SessionResult res = compressTiny(model, "edkm");
-
-    std::vector<uint8_t> v1 = res.artifact.serializeV1();
-    ASSERT_TRUE(api::isArtifactV1(v1.data(), v1.size()));
-    std::string path = writeTemp(v1, "edkm_test_v1_artifact.edkm");
-
-    api::ModelArtifact loaded = api::ModelArtifact::load(path);
-    nn::MiniLlama eager = res.artifact.reconstruct();
-    nn::MiniLlama fromV1 = loaded.reconstruct();
-    auto a = eager.namedParameters();
-    auto b = fromV1.namedParameters();
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].second.data().toVector(),
-                  b[i].second.data().toVector())
-            << a[i].first;
-    }
-
-    // The serving reader consumes v1 through its compat path too.
-    auto reader = serve::ArtifactReader::open(path);
-    EXPECT_EQ(reader->version(), api::kArtifactVersionV1);
-    EXPECT_EQ(reader->scheme(), res.artifact.scheme);
-    EXPECT_EQ(reader->fileBytes(), static_cast<int64_t>(v1.size()));
-    serve::InferenceEngine engine(reader);
-    Tensor toks = tokenBatch(1, 6, 64, 31);
-    NoGradGuard ng;
-    EXPECT_EQ(engine.forward(toks).toVector(),
-              eager.forward(toks).data().toVector());
-    std::remove(path.c_str());
 }
 
 TEST(ArtifactV2, CorruptionIsRejectedWithTheSectionNamed)
@@ -504,7 +469,6 @@ TEST(ArtifactV21, WriterStampsChecksumsThatMatchThePayloads)
     std::vector<uint8_t> bytes = res.artifact.serialize();
     api::ArtifactLayout layout =
         api::parseArtifactLayout(bytes.data(), bytes.size());
-    ASSERT_TRUE(layout.hasChecksums);
     for (const api::TensorSection &s : layout.sections) {
         EXPECT_EQ(s.checksum,
                   checksum64(bytes.data() + s.offset,
@@ -517,7 +481,6 @@ TEST(ArtifactV21, WriterStampsChecksumsThatMatchThePayloads)
     std::string path = writeTemp(bytes, "edkm_test_v21_clean.edkm");
     auto eager =
         serve::ArtifactReader::open(path, serve::VerifyMode::kEager);
-    EXPECT_TRUE(eager->hasChecksums());
     EXPECT_EQ(eager->sectionsVerified(),
               static_cast<int64_t>(layout.sections.size()));
 
@@ -550,7 +513,6 @@ TEST(ArtifactV21, PayloadBitFlipFuzzNamesTheCorruptSection)
     std::vector<uint8_t> bytes = res.artifact.serialize();
     api::ArtifactLayout good =
         api::parseArtifactLayout(bytes.data(), bytes.size());
-    ASSERT_TRUE(good.hasChecksums);
 
     int case_id = 0;
     for (size_t i = 0; i < good.sections.size(); ++i) {
@@ -623,42 +585,49 @@ TEST(ArtifactV21, PayloadBitFlipFuzzNamesTheCorruptSection)
     }
 }
 
-TEST(ArtifactV21, UnchecksummedV2StaysReadableEverywhere)
+// Only v2.1 is read. A v1 stream and a v2 header without the checksum
+// flag (a v2.0 file) are both refused, with the format named, by the
+// eager parse and by the serving reader in every verify mode.
+TEST(ArtifactV21, LegacyInputIsRejectedWithTheFormatNamed)
 {
+    std::vector<uint8_t> v1(256, 0);
+    std::memcpy(v1.data(), "EDKMMDL1", 8);
+
     nn::MiniLlama model = tinyModel();
-    api::SessionResult res = compressTiny(model, "edkm");
-    std::vector<uint8_t> with = res.artifact.serialize();
-    std::vector<uint8_t> without =
-        res.artifact.serialize(/*with_checksums=*/false);
-    EXPECT_LT(without.size(), with.size());
+    std::vector<uint8_t> v20 = compressTiny(model, "rtn").artifact.serialize();
+    constexpr size_t kFlagsOffset = 44; // magic, version, sizes, offsets
+    ASSERT_EQ(v20[kFlagsOffset] & api::kArtifactFlagChecksums, 1u);
+    v20[kFlagsOffset] &= static_cast<uint8_t>(~api::kArtifactFlagChecksums);
 
-    api::ArtifactLayout layout =
-        api::parseArtifactLayout(without.data(), without.size());
-    EXPECT_FALSE(layout.hasChecksums);
-
-    // Whole-artifact round trip is still bit-exact.
-    api::ModelArtifact back = api::ModelArtifact::deserialize(without);
-    ASSERT_EQ(back.entries.size(), res.artifact.entries.size());
-    for (size_t i = 0; i < back.entries.size(); ++i) {
-        EXPECT_EQ(back.entries[i].payload,
-                  res.artifact.entries[i].payload)
-            << back.entries[i].name;
+    struct Case
+    {
+        const char *file;
+        const std::vector<uint8_t> &bytes;
+        const char *cause;
+    };
+    for (const Case &c :
+         {Case{"edkm_test_legacy_v1.edkm", v1, "legacy v1 stream"},
+          Case{"edkm_test_legacy_v20.edkm", v20,
+               "v2.0 container without a checksum table"}}) {
+        auto expectNamed = [&](const std::function<void()> &load) {
+            try {
+                load();
+                FAIL() << c.cause << " accepted";
+            } catch (const FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find(c.cause),
+                          std::string::npos)
+                    << e.what();
+            }
+        };
+        expectNamed([&] { api::ModelArtifact::deserialize(c.bytes); });
+        std::string path = writeTemp(c.bytes, c.file);
+        for (serve::VerifyMode m :
+             {serve::VerifyMode::kEager, serve::VerifyMode::kLazy,
+              serve::VerifyMode::kOff}) {
+            expectNamed([&] { serve::ArtifactReader::open(path, m); });
+        }
+        std::remove(path.c_str());
     }
-
-    // The reader serves it under every verify mode (there is nothing
-    // to verify), bit-identical to the checksummed container.
-    std::string p0 = writeTemp(without, "edkm_test_v21_none.edkm");
-    std::string p1 = writeTemp(with, "edkm_test_v21_with.edkm");
-    auto r0 = serve::ArtifactReader::open(p0, serve::VerifyMode::kEager);
-    auto r1 = serve::ArtifactReader::open(p1, serve::VerifyMode::kEager);
-    EXPECT_FALSE(r0->hasChecksums());
-    EXPECT_EQ(r0->sectionsVerified(), 0);
-    serve::InferenceEngine e0(r0), e1(r1);
-    Tensor toks = tokenBatch(1, 5, 64, 77);
-    NoGradGuard ng;
-    EXPECT_EQ(e0.forward(toks).toVector(), e1.forward(toks).toVector());
-    std::remove(p0.c_str());
-    std::remove(p1.c_str());
 }
 
 TEST(ArtifactV21, VerifyModeEnvKnobSelectsAndRejects)
@@ -721,7 +690,6 @@ TEST(Reader, ZeroCopyViewsMatchEagerDecode)
         writeTemp(res.artifact.serialize(), "edkm_test_reader.edkm");
 
     auto reader = serve::ArtifactReader::open(path);
-    EXPECT_EQ(reader->version(), api::kArtifactVersionV2);
     for (const api::TensorSection &s : reader->sections()) {
         Tensor decoded = reader->decode(s.name);
         EXPECT_EQ(decoded.toVector(),
