@@ -588,46 +588,47 @@ TEST(ArtifactV21, PayloadBitFlipFuzzNamesTheCorruptSection)
 // Only v2.1 is read. A v1 stream and a v2 header without the checksum
 // flag (a v2.0 file) are both refused, with the format named, by the
 // eager parse and by the serving reader in every verify mode.
-TEST(ArtifactV21, LegacyInputIsRejectedWithTheFormatNamed)
+void
+expectLegacyRejected(const std::vector<uint8_t> &bytes, const char *file,
+                     const char *cause)
+{
+    auto expectNamed = [&](const std::function<void()> &load) {
+        try {
+            load();
+            FAIL() << cause << " accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(cause), std::string::npos)
+                << e.what();
+        }
+    };
+    expectNamed([&] { api::ModelArtifact::deserialize(bytes); });
+    std::string path = writeTemp(bytes, file);
+    for (serve::VerifyMode m :
+         {serve::VerifyMode::kEager, serve::VerifyMode::kLazy,
+          serve::VerifyMode::kOff}) {
+        expectNamed([&] { serve::ArtifactReader::open(path, m); });
+    }
+    std::remove(path.c_str());
+}
+
+// The next two tests keep the names they had while v1 and v2.0 still
+// loaded; the version gate they cover now refuses both formats.
+TEST(ArtifactV2, V1FilesStillLoadThroughTheVersionGate)
 {
     std::vector<uint8_t> v1(256, 0);
     std::memcpy(v1.data(), "EDKMMDL1", 8);
+    expectLegacyRejected(v1, "edkm_test_legacy_v1.edkm", "legacy v1 stream");
+}
 
+TEST(ArtifactV21, UnchecksummedV2StaysReadableEverywhere)
+{
     nn::MiniLlama model = tinyModel();
     std::vector<uint8_t> v20 = compressTiny(model, "rtn").artifact.serialize();
     constexpr size_t kFlagsOffset = 44; // magic, version, sizes, offsets
     ASSERT_EQ(v20[kFlagsOffset] & api::kArtifactFlagChecksums, 1u);
     v20[kFlagsOffset] &= static_cast<uint8_t>(~api::kArtifactFlagChecksums);
-
-    struct Case
-    {
-        const char *file;
-        const std::vector<uint8_t> &bytes;
-        const char *cause;
-    };
-    for (const Case &c :
-         {Case{"edkm_test_legacy_v1.edkm", v1, "legacy v1 stream"},
-          Case{"edkm_test_legacy_v20.edkm", v20,
-               "v2.0 container without a checksum table"}}) {
-        auto expectNamed = [&](const std::function<void()> &load) {
-            try {
-                load();
-                FAIL() << c.cause << " accepted";
-            } catch (const FatalError &e) {
-                EXPECT_NE(std::string(e.what()).find(c.cause),
-                          std::string::npos)
-                    << e.what();
-            }
-        };
-        expectNamed([&] { api::ModelArtifact::deserialize(c.bytes); });
-        std::string path = writeTemp(c.bytes, c.file);
-        for (serve::VerifyMode m :
-             {serve::VerifyMode::kEager, serve::VerifyMode::kLazy,
-              serve::VerifyMode::kOff}) {
-            expectNamed([&] { serve::ArtifactReader::open(path, m); });
-        }
-        std::remove(path.c_str());
-    }
+    expectLegacyRejected(v20, "edkm_test_legacy_v20.edkm",
+                         "v2.0 container without a checksum table");
 }
 
 TEST(ArtifactV21, VerifyModeEnvKnobSelectsAndRejects)
