@@ -187,35 +187,5 @@ ThreadPool::forChunks(int64_t begin, int64_t end, int64_t grain,
     }
 }
 
-std::future<void>
-ThreadPool::submit(std::function<void()> job)
-{
-    // promise-based rather than std::packaged_task: a packaged_task's
-    // shared state retains the callable, so a caller storing the future
-    // inside an object the job captures would form a reference cycle.
-    // The promise state holds only the result; the callable dies with
-    // its queue slot right after execution.
-    auto promise = std::make_shared<std::promise<void>>();
-    std::future<void> fut = promise->get_future();
-    auto wrapped = [promise, fn = std::move(job)] {
-        try {
-            fn();
-            promise->set_value();
-        } catch (...) {
-            promise->set_exception(std::current_exception());
-        }
-    };
-    if (workers_.empty()) {
-        wrapped();
-        return fut;
-    }
-    {
-        util::MutexLock lock(mutex_);
-        jobs_.emplace_back(std::move(wrapped));
-    }
-    cv_.notify_one();
-    return fut;
-}
-
 } // namespace runtime
 } // namespace edkm

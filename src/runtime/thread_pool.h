@@ -37,10 +37,9 @@ namespace edkm {
 namespace runtime {
 
 /**
- * Fixed-size pool of worker threads executing chunked loops and
- * fire-and-forget jobs. The constructing thread participates in
- * forChunks() as an extra lane, so ThreadPool(1) owns no OS threads and
- * runs everything inline.
+ * Fixed-size pool of worker threads executing chunked loops. The
+ * constructing thread participates in forChunks() as an extra lane, so
+ * ThreadPool(1) owns no OS threads and runs everything inline.
  */
 class ThreadPool
 {
@@ -75,12 +74,6 @@ class ThreadPool
     void forChunks(int64_t begin, int64_t end, int64_t grain,
                    const std::function<void(int64_t, int64_t, int64_t)>
                        &body);
-
-    /**
-     * Queue @p job for asynchronous execution. With no workers the job
-     * runs inline before returning. The future carries any exception.
-     */
-    std::future<void> submit(std::function<void()> job);
 
     /** True when called from inside one of this process's pool workers. */
     static bool inWorker();

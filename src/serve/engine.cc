@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "autograd/functional.h"
 #include "tensor/ops.h"
@@ -552,8 +553,8 @@ InferenceEngine::decodeStepBatch(const std::vector<int64_t> &tokens,
     for (KvCache *kv : kvs) {
         kv->advance(1);
     }
-    ++stats_.batchedSteps;
-    stats_.batchedTokens += bsz;
+    ++stats_.batchSteps;
+    stats_.batchTokens += bsz;
     return logits;
 }
 
@@ -627,9 +628,7 @@ InferenceEngine::generate(const Request &request)
         return res;
     }
     int64_t s = static_cast<int64_t>(request.prompt.size());
-    // Positions cached: the prompt plus every generated token except
-    // the last (which is never fed back).
-    ensureKv(s + request.maxNewTokens - 1);
+    ensureKv(kvPositionsNeeded(request));
     Tensor prompt = Tensor::fromIndices(request.prompt, {1, s});
     Tensor logits = prefill(prompt, *kv_);
     Tensor last = logits.slice(0, logits.size(0) - 1, logits.size(0));
@@ -641,6 +640,17 @@ InferenceEngine::generate(const Request &request)
         res.tokens.push_back(next);
     }
     return res;
+}
+
+int64_t
+kvPositionsNeeded(const InferenceEngine::Request &request)
+{
+    int64_t prompt = static_cast<int64_t>(request.prompt.size());
+    EDKM_CHECK(request.maxNewTokens <=
+                   std::numeric_limits<int64_t>::max() - prompt,
+               "request of ", prompt, " prompt + ", request.maxNewTokens,
+               " new tokens overflows the KV position count");
+    return prompt + request.maxNewTokens - 1;
 }
 
 std::vector<InferenceEngine::Response>

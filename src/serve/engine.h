@@ -27,8 +27,8 @@
  * softmax columns; see nn::attentionStep), which test_serve.cc pins for
  * every codec.
  *
- * The engine is not thread-safe; give each serving thread its own
- * engine (they can share one ArtifactReader — see serve::Server).
+ * The engine is not thread-safe: one thread drives it at a time
+ * (serve::Server's step loop owns exactly one).
  */
 
 #ifndef EDKM_SERVE_ENGINE_H_
@@ -103,8 +103,8 @@ struct EngineStats
     int64_t decodeSteps = 0;     ///< single-position decode steps run
     int64_t kvCacheBytes = 0;    ///< K/V bytes of the live cache
     int64_t chunkPrefills = 0;   ///< prefillChunk calls run
-    int64_t batchedSteps = 0;    ///< decodeStepBatch forwards run
-    int64_t batchedTokens = 0;   ///< tokens decoded by batched steps
+    int64_t batchSteps = 0;      ///< decodeStepBatch forwards run
+    int64_t batchTokens = 0;     ///< tokens decoded by batch steps
 };
 
 /** Batched request API over the artifact-backed forward. */
@@ -300,6 +300,14 @@ class InferenceEngine
     int64_t dec_rope_len_ = 0;
     std::unique_ptr<KvCache> kv_;
 };
+
+/**
+ * KV positions @p request needs (maxNewTokens >= 1): the prompt plus
+ * every generated token except the last, which is never fed back.
+ * generate() and BatchScheduler::admit() both size caches by it.
+ * Throws FatalError naming the request's size when the count overflows.
+ */
+int64_t kvPositionsNeeded(const InferenceEngine::Request &request);
 
 } // namespace serve
 

@@ -84,10 +84,7 @@ BatchScheduler::admit(Request request, DoneFn done)
             done(std::move(res), nullptr, rstats);
             return;
         }
-        // Positions needed: the prompt plus every generated token
-        // except the last (never fed back) — generateCached's sizing.
-        int64_t needed = static_cast<int64_t>(request.prompt.size()) +
-                         request.maxNewTokens - 1;
+        int64_t needed = kvPositionsNeeded(request);
         EDKM_CHECK(config_.kvCapacity == 0 ||
                        needed <= config_.kvCapacity,
                    "BatchScheduler: request needs ", needed,
@@ -95,7 +92,6 @@ BatchScheduler::admit(Request request, DoneFn done)
                    config_.kvCapacity);
         auto slot = std::make_unique<Slot>();
         slot->request = std::move(request);
-        slot->done = std::move(done);
         slot->tokens = slot->request.prompt;
         slot->stats = rstats;
         int64_t cap =
@@ -113,10 +109,13 @@ BatchScheduler::admit(Request request, DoneFn done)
             slot->prefilled = reused;
             slot->stats.reusedPrefixTokens = reused;
         }
-        ++stats_.admitted;
-        stats_.peakBatch = std::max(
-            stats_.peakBatch, static_cast<int64_t>(slots_.size()) + 1);
         slots_.push_back(std::move(slot));
+        // Take the callback only once nothing above can throw: the
+        // handler below still needs it.
+        slots_.back()->done = std::move(done);
+        ++stats_.admitted;
+        stats_.peakBatch = std::max(stats_.peakBatch,
+                                    static_cast<int64_t>(slots_.size()));
     } catch (...) {
         ++stats_.admitted;
         ++stats_.failed;

@@ -2,8 +2,7 @@
  * @file
  * Step-level continuous-batching scheduler over one InferenceEngine.
  *
- * Instead of running each request start-to-finish on its own engine
- * thread, the scheduler interleaves all in-flight requests at *step*
+ * The scheduler interleaves all in-flight requests at *step*
  * granularity:
  *
  *   step():
@@ -16,8 +15,8 @@
  *        (InferenceEngine::decodeStepBatch), so the weight matrices
  *        are read once per step instead of once per request.
  *
- * Admission happens between steps: the caller (serve::Server's batched
- * mode, or the synchronous run() helper) admits new requests whenever
+ * Admission happens between steps: the caller (serve::Server's step
+ * loop, or the synchronous run() helper) admits new requests whenever
  * hasCapacity() — slots are capped at SchedulerConfig::maxBatch.
  * On admission, the shared PrefixCache is probed: a request whose
  * prompt head was banked by an earlier request restores those KV rows
@@ -33,14 +32,15 @@
  * attention core runs per request over its own cache, and restored
  * prefix rows are exact copies of rows the engine itself produced.
  *
- * Failure policy: a request whose prefill throws fails alone; a throw
- * inside the shared batched decode forward fails every request in that
- * step's batch (their caches may be inconsistent mid-layer). Both
- * deliver the exception through the request's completion callback —
- * the step loop itself never wedges.
+ * Failure policy: a request that fails validation, whose KV cache
+ * cannot be sized or allocated at admission, or whose prefill throws
+ * fails alone; a throw inside the shared batched decode forward fails
+ * every request in that step's batch (their caches may be inconsistent
+ * mid-layer). All deliver the exception through the request's
+ * completion callback — the step loop itself never wedges.
  *
- * Not thread-safe: one thread owns the scheduler (serve::Server's
- * batched mode runs exactly one step-loop thread).
+ * Not thread-safe: one thread owns the scheduler (serve::Server runs
+ * exactly one step-loop thread).
  */
 
 #ifndef EDKM_SERVE_SCHEDULER_H_

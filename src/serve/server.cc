@@ -27,53 +27,34 @@ Server::Server(std::shared_ptr<const ArtifactReader> reader,
     : config_(config), reader_(std::move(reader))
 {
     EDKM_CHECK(reader_ != nullptr, "Server: null reader");
-    if (config_.batched) {
-        // One engine, one step-loop thread. The loop is a plain
-        // std::thread — never a pool worker — so engine-internal
-        // parallelFor still fans out across the runtime pool.
-        engines_.push_back(std::make_unique<InferenceEngine>(
-            reader_, config_.engine));
-        scheduler_ = std::make_unique<BatchScheduler>(
-            *engines_.front(), config_.scheduler);
-        sched_json_ = scheduler_->statsJson();
-        // lint:allow(raw-thread) the dedicated step loop (see the
-        // matching note on the loop_ member).
-        loop_ = std::thread([this] { batchLoop(); });
-        return;
-    }
-    EDKM_CHECK(config_.threads >= 1, "Server: need at least one thread, "
-                                     "got ",
-               config_.threads);
-    engines_.reserve(static_cast<size_t>(config_.threads));
-    free_.reserve(static_cast<size_t>(config_.threads));
-    for (int i = 0; i < config_.threads; ++i) {
-        engines_.push_back(std::make_unique<InferenceEngine>(
-            reader_, config_.engine));
-        free_.push_back(i);
-    }
-    engine_gen_.assign(static_cast<size_t>(config_.threads), 0);
-    // threads workers + the constructing thread as the extra forChunks
-    // lane; submitted jobs only ever run on the workers, so at most
-    // `threads` requests execute concurrently — one engine each.
-    pool_ = std::make_unique<runtime::ThreadPool>(config_.threads + 1);
+    engine_ = std::make_unique<InferenceEngine>(reader_, engineConfig());
+    scheduler_ = std::make_unique<BatchScheduler>(*engine_,
+                                                  config_.scheduler);
+    sched_json_ = scheduler_->statsJson();
+    // lint:allow(raw-thread) the dedicated step loop (see the matching
+    // note on the loop_ member).
+    loop_ = std::thread([this] { batchLoop(); });
 }
 
 Server::~Server()
 {
-    if (config_.batched) {
-        // Drain: the loop exits only once the queue is empty and no
-        // slot is in flight, so every submitted ticket completes (or
-        // was cancelled by release()) before the members die.
-        {
-            util::MutexLock lock(mutex_);
-            stop_ = true;
-        }
-        cv_.notify_all();
-        loop_.join();
-        return;
+    // Drain: the loop exits only once the queue is empty and no slot is
+    // in flight, so every submitted ticket completes (or was cancelled
+    // by release()) before the members die.
+    {
+        util::MutexLock lock(mutex_);
+        stop_ = true;
     }
-    // pool_ is the last-declared member: its destructor runs first and
-    // drains every queued job while records_/engines_ are still alive.
+    cv_.notify_all();
+    loop_.join();
+}
+
+EngineConfig
+Server::engineConfig() const
+{
+    EngineConfig cfg;
+    cfg.decodeCacheBytes = config_.decodeCacheBytes;
+    return cfg;
 }
 
 void
@@ -117,7 +98,7 @@ Server::batchLoop()
                 // The old engine dies here, dropping its pin on the
                 // old mapping; not-yet-released old records hold the
                 // only remaining pins.
-                engines_[0] = std::move(next);
+                engine_ = std::move(next);
                 loop_gen_ = g;
                 sched_json_ = scheduler_->statsJson();
                 cv_.notify_all(); // swap() waits on loop_gen_
@@ -159,7 +140,6 @@ Server::batchLoop()
                     raw->stats.prefillChunks = st.prefillChunks;
                     raw->stats.decodeSteps = st.decodeSteps;
                     raw->stats.reusedPrefixTokens = st.reusedPrefixTokens;
-                    raw->stats.engine = 0;
                     raw->stats.millis = millisSince(t0);
                     if (err == nullptr) {
                         raw->response = std::move(res);
@@ -195,89 +175,6 @@ Server::batchLoop()
     cv_.notify_all();
 }
 
-int
-Server::checkoutEngine()
-{
-    util::MutexLock lock(mutex_);
-    // At most `threads` jobs run concurrently (one per pool worker), so
-    // an engine is always free when a job starts.
-    EDKM_CHECK(!free_.empty(),
-               "Server: no free engine (more concurrent jobs than "
-               "workers?)");
-    int idx = free_.back();
-    free_.pop_back();
-    return idx;
-}
-
-void
-Server::checkinEngine(int idx)
-{
-    util::MutexLock lock(mutex_);
-    free_.push_back(idx);
-}
-
-void
-Server::run(Record &rec)
-{
-    {
-        util::MutexLock lock(mutex_);
-        rec.stats.queueMillis = millisSince(rec.submitted);
-        queue_wait_hist_.record(rec.stats.queueMillis);
-    }
-    int idx = checkoutEngine();
-    // One completion path for success and failure: the guard stamps
-    // the timing, returns the engine and counts the request whichever
-    // way generate() exits (exceptions land in the record's future).
-    struct Finish
-    {
-        Server *server;
-        Record *rec;
-        int idx;
-        std::chrono::steady_clock::time_point t0 =
-            std::chrono::steady_clock::now();
-        ~Finish()
-        {
-            rec->stats.millis = millisSince(t0);
-            rec->reader.reset(); // drop the ticket's mapping pin
-            server->checkinEngine(idx);
-            util::MutexLock lock(server->mutex_);
-            ++server->completed_;
-            server->e2e_hist_.record(millisSince(rec->submitted));
-        }
-    } finish{this, &rec, idx};
-
-    // Lazy generation cutover: a ticket stamped with a different
-    // generation than this engine rebuilds it from the ticket's pinned
-    // reader — forward to the artifact new tickets were admitted
-    // against, or back for a straggler submitted before a swap. The
-    // index is checked out exclusively, so the slot is ours to rebuild;
-    // building into a temporary keeps the old engine intact if the
-    // constructor throws. The generation stamps live under mutex_
-    // (swap() scans them), so they are read and written under short
-    // holds, with the expensive engine build in between unlocked.
-    int64_t slot_gen;
-    {
-        util::MutexLock lock(mutex_);
-        slot_gen = engine_gen_[static_cast<size_t>(idx)];
-    }
-    if (slot_gen != rec.generation) {
-        auto fresh = std::make_unique<InferenceEngine>(rec.reader,
-                                                       config_.engine);
-        engines_[static_cast<size_t>(idx)] = std::move(fresh);
-        util::MutexLock lock(mutex_);
-        engine_gen_[static_cast<size_t>(idx)] = rec.generation;
-    }
-
-    rec.stats.engine = idx;
-    rec.stats.promptTokens =
-        static_cast<int64_t>(rec.request.prompt.size());
-    rec.response =
-        engines_[static_cast<size_t>(idx)]->generate(rec.request);
-    rec.stats.newTokens =
-        static_cast<int64_t>(rec.response.tokens.size()) -
-        rec.stats.promptTokens;
-}
-
 Server::RequestId
 Server::submit(Request request)
 {
@@ -287,31 +184,12 @@ Server::submit(Request request)
     if (request.cancel == nullptr) {
         request.cancel = std::make_shared<CancelToken>();
     }
-    rec->cancel = request.cancel;
     rec->request = std::move(request);
     rec->submitted = std::chrono::steady_clock::now();
-    Record *raw = rec.get();
-    if (config_.batched) {
-        // Promise-backed ticket, wired up BEFORE the record is visible:
-        // wait()/release() must always find a valid future.
-        rec->done = rec->promise.get_future().share();
-        rec->queued = true;
-        RequestId id;
-        {
-            util::MutexLock lock(mutex_);
-            id = next_id_++;
-            rec->stats.id = id;
-            rec->generation = gen_;
-            rec->stats.generation = gen_;
-            rec->reader = reader_;
-            records_.emplace(id, std::move(rec));
-            queue_.push_back(id);
-            peak_queue_ = std::max(
-                peak_queue_, static_cast<int64_t>(queue_.size()));
-        }
-        cv_.notify_all();
-        return id;
-    }
+    // Promise-backed ticket, wired up BEFORE the record is visible:
+    // wait()/release() must always find a valid future.
+    rec->done = rec->promise.get_future().share();
+    rec->queued = true;
     RequestId id;
     {
         util::MutexLock lock(mutex_);
@@ -321,12 +199,11 @@ Server::submit(Request request)
         rec->stats.generation = gen_;
         rec->reader = reader_;
         records_.emplace(id, std::move(rec));
-        // Enqueue under the same hold that published the record: a
-        // concurrent swap()/wait()/release() must never find a record
-        // whose `done` future is still invalid. (ThreadPool::submit
-        // only enqueues, so holding mutex_ here cannot deadlock.)
-        raw->done = pool_->submit([this, raw] { run(*raw); }).share();
+        queue_.push_back(id);
+        peak_queue_ =
+            std::max(peak_queue_, static_cast<int64_t>(queue_.size()));
     }
+    cv_.notify_all();
     return id;
 }
 
@@ -390,9 +267,10 @@ Server::requestStats(RequestId id) const
 void
 Server::release(RequestId id)
 {
-    // Wait for the job (which holds a raw pointer to the record)
-    // outside the lock, erase under it. Releasing an already-released
-    // ticket is a no-op, so concurrent reapers need no coordination.
+    // Wait for the step loop's callback (which holds a raw pointer to
+    // the record) outside the lock, erase under it. Releasing an
+    // already-released ticket is a no-op, so concurrent reapers need no
+    // coordination.
     std::shared_future<void> done;
     {
         util::MutexLock lock(mutex_);
@@ -400,10 +278,10 @@ Server::release(RequestId id)
         if (it == records_.end()) {
             return;
         }
-        // Batched mode: a ticket still waiting in the queue is
-        // cancelled right here — no scheduler slot was ever taken, so
-        // the step loop needs no notice. Concurrent wait()ers of the
-        // same ticket get the cancellation exception.
+        // A ticket still waiting in the queue is cancelled right here —
+        // no scheduler slot was ever taken, so the step loop needs no
+        // notice. Concurrent wait()ers of the same ticket get the
+        // cancellation exception.
         if (it->second->queued) {
             for (auto qit = queue_.begin(); qit != queue_.end(); ++qit) {
                 if (*qit == id) {
@@ -424,7 +302,7 @@ Server::release(RequestId id)
         // the void): request cancellation, so an in-flight ticket is
         // evicted at its next between-steps check instead of running
         // to completion nobody will read.
-        it->second->cancel->requestCancel();
+        it->second->request.cancel->requestCancel();
         done = it->second->done;
     }
     cv_.notify_all(); // wake the step loop to run the eviction
@@ -449,67 +327,20 @@ Server::swap(std::shared_ptr<const ArtifactReader> next)
     // engine (missing sections, bad geometry, failed checksum under
     // eager verify) fails the swap() call right here, before any
     // server state changes.
-    auto probe =
-        std::make_unique<InferenceEngine>(next, config_.engine);
-    if (config_.batched) {
-        util::MutexLock lock(mutex_);
-        reader_ = next;
-        int64_t target = ++gen_;
-        // The probe becomes the loop's next engine: the cutover path
-        // never needs a throwing construction.
-        pending_engines_.emplace(target, std::move(probe));
-        cv_.notify_all();
-        while (!(loop_gen_ >= target || loop_done_)) {
-            cv_.wait(mutex_);
-        }
-        EDKM_CHECK(loop_gen_ >= target,
-                   "Server: step loop stopped before the swap to "
-                   "generation ",
-                   target, " cut over");
-        return;
-    }
-    int64_t target;
-    std::vector<std::shared_future<void>> drain;
-    {
-        util::MutexLock lock(mutex_);
-        reader_ = next;
-        target = ++gen_;
-        // New submissions are stamped `target` from here on; collect
-        // every older ticket (completed ones resolve instantly).
-        // lint:allow(unordered-iteration) collection order is
-        // irrelevant — every collected future is waited on below.
-        for (const auto &entry : records_) {
-            if (entry.second->generation < target) {
-                drain.push_back(entry.second->done);
-            }
-        }
-    }
-    // Drain old-generation work outside the lock. Failures already
-    // live in those tickets' futures; a swap does not re-raise them.
-    for (auto &f : drain) {
-        f.wait();
-    }
-    // Rebuild idle engines still wired to an old mapping, so the old
-    // reader's only remaining pins are not-yet-released records.
-    // Checked-out engines belong to newer-generation tickets (all
-    // older ones just drained) and already rebuilt at checkout.
+    auto probe = std::make_unique<InferenceEngine>(next, engineConfig());
     util::MutexLock lock(mutex_);
-    for (int idx : free_) {
-        if (engine_gen_[static_cast<size_t>(idx)] == gen_) {
-            continue;
-        }
-        // Compare against gen_/reader_, not target/next: a stacked
-        // swap may have moved on, and rebuilding to an intermediate
-        // generation would waste a build.
-        if (probe != nullptr && reader_ == next) {
-            engines_[static_cast<size_t>(idx)] = std::move(probe);
-        } else {
-            engines_[static_cast<size_t>(idx)] =
-                std::make_unique<InferenceEngine>(reader_,
-                                                  config_.engine);
-        }
-        engine_gen_[static_cast<size_t>(idx)] = gen_;
+    reader_ = next;
+    int64_t target = ++gen_;
+    // The probe becomes the loop's next engine: the cutover path never
+    // needs a throwing construction.
+    pending_engines_.emplace(target, std::move(probe));
+    cv_.notify_all();
+    while (!(loop_gen_ >= target || loop_done_)) {
+        cv_.wait(mutex_);
     }
+    EDKM_CHECK(loop_gen_ >= target,
+               "Server: step loop stopped before the swap to generation ",
+               target, " cut over");
 }
 
 int64_t
@@ -520,12 +351,9 @@ Server::generation() const
 }
 
 const EngineStats &
-Server::engineStats(int i) const
+Server::engineStats() const
 {
-    int count = static_cast<int>(engines_.size());
-    EDKM_CHECK(i >= 0 && i < count, "Server: engine index ", i,
-               " out of range [0,", count, ")");
-    return engines_[static_cast<size_t>(i)]->stats();
+    return engine_->stats();
 }
 
 int64_t
@@ -558,11 +386,10 @@ Server::metricsJson() const
         generation = gen_;
         queue_wait = queue_wait_hist_.json();
         e2e = e2e_hist_.json();
-        sched = scheduler_ != nullptr ? sched_json_ : "null";
+        sched = sched_json_;
     }
     std::ostringstream os;
-    os << "{\"mode\": \"" << (config_.batched ? "batched" : "threaded")
-       << "\", \"generation\": " << generation
+    os << "{\"generation\": " << generation
        << ", \"completed\": " << completed
        << ", \"queue_depth\": " << depth
        << ", \"peak_queue_depth\": " << peak

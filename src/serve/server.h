@@ -1,50 +1,36 @@
 /**
  * @file
- * Multi-threaded request serving over one shared ArtifactReader.
+ * Continuous-batching request server over one shared ArtifactReader.
  *
- * Two execution modes behind one submit()/wait()/release() surface:
+ * The Server owns ONE InferenceEngine plus a BatchScheduler driven by a
+ * dedicated step-loop thread (a plain std::thread, not a pool worker,
+ * so engine-internal parallelFor still fans out across the runtime
+ * pool). submit() enqueues a promise-backed ticket on a server-owned
+ * queue; the loop admits queued requests into scheduler slots whenever
+ * one frees, and every in-flight request's next token rides one batched
+ * forward per step. release() of a ticket still waiting in the queue
+ * cancels it without touching the step loop (the wait() throws); the
+ * destructor drains queue and in-flight slots before joining the loop.
  *
- * *Threaded* (default): the Server owns a pool of InferenceEngine
- * instances — one per worker thread — all wired to the *same*
- * ArtifactReader. The reader is immutable after open() (an mmap'd file
- * plus parsed metadata), so sharing it across threads is free: every
- * engine streams palettized tiles and borrows raw_f32 views from the
- * one mapping, while keeping its own mutable state (LRU decode cache,
- * KV cache, stats) private. Requests flow through a work queue on the
- * existing runtime::ThreadPool; each request is executed start to
- * finish by exactly one engine. Engine-internal parallel loops degrade
- * to serial inside pool workers (runtime::ThreadPool nested-call
- * rule), so throughput scales by request-level parallelism.
- *
- * *Batched* (ServerConfig::batched): ONE engine plus a BatchScheduler
- * driven by a dedicated step-loop thread (a plain std::thread, not a
- * pool worker, so engine-internal parallelFor still fans out).
- * submit() enqueues the ticket on a server-owned queue; the loop admits
- * queued requests into scheduler slots whenever one frees, and every
- * in-flight request's next token rides one batched forward per step.
- * release() of a ticket still waiting in the queue cancels it without
- * touching the step loop (the wait() throws); the destructor drains
- * queue and in-flight slots before joining the loop.
- *
- * Either way the response depends only on the request and the artifact
- * — never on scheduling: N-thread and batched serving are bit-identical
- * to serial execution, which tests/test_server.cc enforces under an
- * 8-thread interleaving stress and batched-vs-threaded comparisons.
+ * The response depends only on the request and the artifact — never on
+ * batch composition or arrival order: it is bit-identical to a serial
+ * InferenceEngine::generate of the same request, which
+ * tests/test_server.cc enforces under an 8-submitter interleaving
+ * stress, hot swaps and randomized arrivals.
  *
  * *Hot model swap* (swap()): load artifact N+1 while N keeps serving.
  * Every ticket is stamped with the server generation current at
  * submit() and pins its own ArtifactReader, so a swap never drops or
  * re-targets a ticket: requests submitted before the swap complete
  * against artifact N, requests submitted after run against N+1, and
- * no request ever mixes weights from both. Threaded mode rebuilds each
- * worker engine lazily the first time it picks up a newer-generation
- * ticket; batched mode drains the in-flight slots, then retargets the
- * step loop (BatchScheduler::swapEngine) between steps. The old
- * mapping is released once the last old-generation record completes
- * (records drop their reader pin at completion).
+ * no request ever mixes weights from both. The step loop drains the
+ * in-flight slots, then retargets the scheduler
+ * (BatchScheduler::swapEngine) between steps. The old mapping is
+ * released once the last old-generation record completes (records drop
+ * their reader pin at completion).
  *
  * *Deadlines and cancellation*: Request::deadline and Request::cancel
- * flow through both modes. Expiry / release() of an in-flight ticket
+ * flow through the scheduler. Expiry / release() of an in-flight ticket
  * interrupts it at the next between-steps check (never mid-forward —
  * surviving requests stay bit-identical), and wait() rethrows the
  * typed DeadlineExceeded / Cancelled error.
@@ -64,7 +50,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "runtime/thread_pool.h"
 #include "serve/engine.h"
 #include "serve/reader.h"
 #include "serve/scheduler.h"
@@ -77,20 +62,15 @@ namespace serve {
 /** Server knobs. */
 struct ServerConfig
 {
-    /** Worker threads == engine instances (>= 1). Ignored in batched
-     *  mode, which runs one engine under the step loop. */
-    int threads = 2;
-    /** Per-engine configuration (decode cache budget, KV decode). */
-    EngineConfig engine;
-    /** Continuous batching: one engine, one step-loop thread, all
-     *  in-flight requests decoded by shared batched forwards. */
-    bool batched = false;
-    /** Step-loop knobs (batch width, prefill chunking, prefix cache);
-     *  only read when batched. */
+    /** Byte budget of the engine's lazy decode cache (see
+     *  EngineConfig::decodeCacheBytes). */
+    int64_t decodeCacheBytes = EngineConfig{}.decodeCacheBytes;
+    /** Step-loop knobs: batch width, prefill chunking, prefix cache and
+     *  per-request KV capacity. */
     SchedulerConfig scheduler;
 };
 
-/** Concurrent request server over one shared artifact reader. */
+/** Batching request server over one shared artifact reader. */
 class Server
 {
   public:
@@ -102,13 +82,11 @@ class Server
     struct RequestStats
     {
         RequestId id = 0;
-        int engine = -1; ///< which engine instance served it
         int64_t generation = 0; ///< artifact generation served against
         int64_t promptTokens = 0;
         int64_t newTokens = 0;
         double millis = 0.0; ///< execution time (excluding queue wait)
         double queueMillis = 0.0; ///< submit-to-execution-start wait
-        // Batched mode only (zero in threaded mode):
         int64_t prefillChunks = 0;      ///< prefill continuations run
         int64_t decodeSteps = 0;        ///< batched steps joined
         int64_t reusedPrefixTokens = 0; ///< restored from the prefix cache
@@ -122,9 +100,6 @@ class Server
 
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
-
-    int threads() const { return config_.threads; }
-    const ServerConfig &config() const { return config_; }
 
     /** Enqueue one request; returns the ticket for wait(). */
     RequestId submit(Request request);
@@ -164,12 +139,10 @@ class Server
      * returns run against @p next, tickets already submitted complete
      * against the artifact they were stamped with at submit() — none
      * are dropped, none mix generations (the prefix cache flushes at
-     * the generation boundary). Blocks until the serving side has cut
-     * over: threaded mode drains old-generation work and rebuilds idle
-     * engines; batched mode waits for the step loop to drain its slots
-     * and retarget the scheduler. Concurrent submit()/wait()/release()
-     * are safe throughout. Throws (and leaves the server untouched) if
-     * @p next cannot back an engine.
+     * the generation boundary). Blocks until the step loop has drained
+     * its slots and retargeted the scheduler. Concurrent
+     * submit()/wait()/release() are safe throughout. Throws (and leaves
+     * the server untouched) if @p next cannot back an engine.
      */
     void swap(std::shared_ptr<const ArtifactReader> next);
 
@@ -177,26 +150,22 @@ class Server
      *  0, +1 per swap()). */
     int64_t generation() const;
 
-    /**
-     * Stats of engine instance @p i (in [0, threads) threaded; only 0
-     * batched). Only meaningful while no request is in flight (engines
-     * are otherwise mutating their own counters).
-     */
-    const EngineStats &engineStats(int i) const;
+    /** Stats of the serving engine. Only meaningful while no request
+     *  is in flight (the step loop otherwise mutates its counters). */
+    const EngineStats &engineStats() const;
 
     /** Requests completed (successfully or not) so far, including
      *  queued tickets cancelled by release(). */
     int64_t completed() const;
 
-    /** Queued tickets cancelled by release() before admission
-     *  (batched mode). */
+    /** Queued tickets cancelled by release() before admission. */
     int64_t cancelled() const;
 
     /**
      * Serving metrics as a JSON object string: queue depth / peak /
-     * cancellations, plus (batched) the scheduler's counters — step
-     * batch-size histogram, per-phase token counts and the prefix
-     * cache's hit/miss/eviction accounting. The scheduler block is a
+     * cancellations, plus the scheduler's counters — step batch-size
+     * histogram, per-phase token counts and the prefix cache's
+     * hit/miss/eviction accounting. The scheduler block is a
      * snapshot the step loop publishes after each step, so it is exact
      * as of the most recent step (and fully exact once idle).
      */
@@ -205,53 +174,44 @@ class Server
   private:
     struct Record
     {
+        /** Its cancel token is always set (submit() creates one if the
+         *  caller passed none): release() of an admitted ticket fires
+         *  it. */
         Request request;
         Response response;
         RequestStats stats;
+        /** Completion: the scheduler's callback fulfils the promise. */
         std::shared_future<void> done;
-        /** Batched mode: completion is promise-backed (the scheduler's
-         *  callback fulfils it) instead of pool-future-backed. */
         std::promise<void> promise;
-        bool queued = false; ///< batched: still awaiting admission
+        bool queued = false; ///< still awaiting admission
         /** Server generation at submit(): the artifact this ticket is
          *  served against, swap or no swap. */
         int64_t generation = 0;
         /** Pins the ticket's artifact mapping until completion (reset
          *  then, so a swapped-out mapping can unmap). */
         std::shared_ptr<const ArtifactReader> reader;
-        /** Always non-null once submitted (created here if the caller
-         *  passed none): release() of an admitted ticket fires it. */
-        std::shared_ptr<CancelToken> cancel;
         std::chrono::steady_clock::time_point submitted;
     };
 
-    void run(Record &rec);
-    int checkoutEngine() EDKM_EXCLUDES(mutex_);
-    void checkinEngine(int idx) EDKM_EXCLUDES(mutex_);
-    /** Batched-mode step loop (dedicated thread). */
+    /** The step loop (dedicated thread). */
     void batchLoop() EDKM_EXCLUDES(mutex_);
+    /** What every engine this server builds is configured with. */
+    EngineConfig engineConfig() const;
     /** Completion future of @p id (copied out under the lock; safe to
      *  block on while release() erases the record). */
     std::shared_future<void> ticket(RequestId id) const
         EDKM_EXCLUDES(mutex_);
 
     ServerConfig config_;
-    /** Engine instances. NOT guarded by mutex_ on purpose: each index
-     *  is owned exclusively — threaded mode by whichever job checked
-     *  the index out of free_ (at most one at a time), batched mode by
-     *  the step loop (index 0 only, rebuilt at the generation cutover
-     *  while it alone runs). engineStats() reads are documented as
-     *  only meaningful while idle. */
-    std::vector<std::unique_ptr<InferenceEngine>> engines_;
+    /** The serving engine. NOT guarded by mutex_ on purpose: only the
+     *  step loop touches it (rebuilt at the generation cutover while it
+     *  alone runs). engineStats() reads are documented as only
+     *  meaningful while idle. */
+    std::unique_ptr<InferenceEngine> engine_;
 
     mutable util::Mutex mutex_;
     /** Artifact new submissions pin (swap() repoints it). */
     std::shared_ptr<const ArtifactReader> reader_ EDKM_GUARDED_BY(mutex_);
-    std::vector<int> free_ EDKM_GUARDED_BY(mutex_); ///< idle engine slots
-    /** Threaded: generation engines_[i] was built against; a checkout
-     *  whose ticket is newer rebuilds the engine from the ticket's
-     *  reader first. */
-    std::vector<int64_t> engine_gen_ EDKM_GUARDED_BY(mutex_);
     std::unordered_map<RequestId, std::unique_ptr<Record>> records_
         EDKM_GUARDED_BY(mutex_);
     RequestId next_id_ EDKM_GUARDED_BY(mutex_) = 1;
@@ -262,9 +222,9 @@ class Server
     LatencyHistogram queue_wait_hist_ EDKM_GUARDED_BY(mutex_);
     LatencyHistogram e2e_hist_ EDKM_GUARDED_BY(mutex_);
 
-    // Batched mode. The scheduler object (and its engine) is stepped
-    // only by loop_ with mutex_ released; the queue and flags below are
-    // shared under mutex_.
+    // The scheduler object (and its engine) is stepped only by loop_
+    // with mutex_ released; the queue and flags below are shared under
+    // mutex_.
     std::unique_ptr<BatchScheduler> scheduler_;
     /** Submitted, not yet admitted. */
     std::deque<RequestId> queue_ EDKM_GUARDED_BY(mutex_);
@@ -283,17 +243,11 @@ class Server
     /** Scheduler stats snapshot, published by the loop under mutex_
      *  after each step so metricsJson() never races the step loop. */
     std::string sched_json_ EDKM_GUARDED_BY(mutex_);
-    // lint:allow(raw-thread) the batched mode's dedicated step loop:
-    // deliberately NOT a pool worker, so engine-internal parallelFor
-    // still fans out across the runtime pool (see batchLoop()).
+    // lint:allow(raw-thread) the dedicated step loop: deliberately NOT
+    // a pool worker, so engine-internal parallelFor still fans out
+    // across the runtime pool (see batchLoop()). Joined by the
+    // destructor before any member above is torn down.
     std::thread loop_;
-
-    /**
-     * Declared last: destroyed first, so the pool drains every queued
-     * job (which touch the members above) before they are torn down.
-     * (Batched mode joins loop_ in the destructor body instead.)
-     */
-    std::unique_ptr<runtime::ThreadPool> pool_;
 };
 
 } // namespace serve

@@ -24,7 +24,7 @@
  *  - Every field written by more than one thread is either
  *    EDKM_GUARDED_BY(some mutex), std::atomic, or carries a comment
  *    explaining the ownership protocol that makes it safe (e.g. the
- *    Server engine-slot checkout protocol).
+ *    Server's engine, owned by its step loop).
  *  - Helpers that expect their caller to hold a lock say so with
  *    EDKM_REQUIRES(mutex) instead of re-locking or trusting comments.
  *  - Condition-variable waits use explicit `while (!pred) cv.wait(mu);`

@@ -116,16 +116,6 @@ TEST(ThreadPool, NestedCallsRunInlineWithoutDeadlock)
     }
 }
 
-TEST(ThreadPool, SubmitRunsJobAndCarriesExceptions)
-{
-    runtime::ThreadPool pool(2);
-    std::atomic<bool> ran{false};
-    pool.submit([&] { ran.store(true); }).get();
-    EXPECT_TRUE(ran.load());
-    auto failing = pool.submit([] { fatal("job failed"); });
-    EXPECT_THROW(failing.get(), FatalError);
-}
-
 TEST(Runtime, EnvVariableControlsDefaultThreadCount)
 {
     ASSERT_EQ(setenv("EDKM_NUM_THREADS", "3", 1), 0);

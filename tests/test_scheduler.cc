@@ -14,11 +14,15 @@
 #include <cstdio>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <limits>
 #include <memory>
+#include <new>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_failure.h"
 #include "api/plan.h"
 #include "api/session.h"
 #include "serve/engine.h"
@@ -535,6 +539,57 @@ TEST(Scheduler, FailuresCompleteThroughCallbacksWithoutWedging)
     EXPECT_EQ(sched.stats().admitted,
               sched.stats().completed + sched.stats().failed +
                   sched.stats().deadlineEvicted + sched.stats().released);
+    std::remove(path.c_str());
+}
+
+TEST(Scheduler, UnallocatableRequestFailsThroughItsCallback)
+{
+    std::string path = savedCodecArtifact("raw", "unallocatable");
+    auto reader = serve::ArtifactReader::open(path);
+    serve::InferenceEngine engine(reader);
+    serve::BatchScheduler sched(engine, serve::SchedulerConfig{});
+
+    // The callback fires exactly once, from inside admit(), with the
+    // error; the request takes no slot.
+    int64_t failed = 0;
+    auto admitError = [&](int64_t new_tokens) {
+        int calls = 0;
+        std::exception_ptr err;
+        sched.admit({{1, 2, 3}, new_tokens},
+                    [&](serve::BatchScheduler::Response &&,
+                        std::exception_ptr e,
+                        const serve::SchedulerRequestStats &) {
+                        ++calls;
+                        err = e;
+                    });
+        EXPECT_EQ(calls, 1);
+        EXPECT_EQ(sched.active(), 0);
+        EXPECT_EQ(sched.stats().failed, ++failed);
+        return err != nullptr ? err
+                              : std::make_exception_ptr(
+                                    std::logic_error("no error delivered"));
+    };
+    if (test::kAllocFailureThrows) {
+        EXPECT_THROW(std::rethrow_exception(
+                         admitError(test::kUnallocatableNewTokens)),
+                     std::bad_alloc);
+    }
+    // A position count past int64 is refused before it overflows, by
+    // an error naming the request's size.
+    try {
+        std::rethrow_exception(
+            admitError(std::numeric_limits<int64_t>::max()));
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "3 prompt + 9223372036854775807 new tokens"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    // The scheduler still serves real work exactly.
+    serve::InferenceEngine::Request ok({1, 2, 3}, 4);
+    EXPECT_EQ(sched.run({ok}).front().tokens,
+              serve::InferenceEngine(reader).generate(ok).tokens);
     std::remove(path.c_str());
 }
 

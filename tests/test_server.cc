@@ -1,25 +1,28 @@
 /**
  * @file
- * Concurrent-serving tests: a serve::Server fans requests out to
- * per-thread engines over one shared ArtifactReader, and the outputs
- * must be bit-identical to serial execution — scheduling, interleaving
- * and per-engine cache state may never leak into a response. Also
- * covers the ticket API (submit/wait, per-request stats, error
- * propagation) and per-thread LRU decode-cache isolation under
- * concurrency.
+ * Serving tests: a serve::Server runs one engine under a batching step
+ * loop over a shared ArtifactReader, and every response must be
+ * bit-identical to a serial InferenceEngine::generate of the same
+ * request — concurrent submitters, batch composition, hot swaps and the
+ * decode-cache budget may never leak into a response. Also covers the
+ * ticket API (submit/wait/release, per-request stats, error
+ * propagation), deadlines and cancellation, the metrics surface, and a
+ * randomized property test of the scheduler's accounting invariants.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
+#include <cstdlib>
+#include <future>
 #include <gtest/gtest.h>
+#include <limits>
 #include <memory>
-#include <set>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_failure.h"
 #include "api/plan.h"
 #include "api/session.h"
 #include "serve/reader.h"
@@ -29,9 +32,10 @@
 namespace edkm {
 namespace {
 
-/** Compress a tiny model and save its artifact; returns the path. */
-std::string
-savedArtifact(const std::string &scheme, const std::string &tag)
+/** Compress a tiny model, save its artifact and open it. The file is
+ *  unlinked once open: the reader holds the artifact's bytes. */
+std::shared_ptr<serve::ArtifactReader>
+servedArtifact(const std::string &scheme, const std::string &tag)
 {
     nn::LlamaConfig cfg;
     cfg.vocab = 64;
@@ -59,7 +63,9 @@ savedArtifact(const std::string &scheme, const std::string &tag)
 
     std::string path = "/tmp/edkm_test_server_" + tag + ".edkm";
     res.artifact.save(path);
-    return path;
+    auto reader = serve::ArtifactReader::open(path);
+    std::remove(path.c_str());
+    return reader;
 }
 
 /** A deterministic mixed bag of generation requests. */
@@ -80,101 +86,98 @@ requestMix(int count, uint64_t seed, int64_t min_new = 0)
     return out;
 }
 
+/** Serial per-artifact reference outputs for @p requests. */
+std::vector<std::vector<int64_t>>
+serialWant(std::shared_ptr<const serve::ArtifactReader> reader,
+           const std::vector<serve::Server::Request> &requests)
+{
+    serve::InferenceEngine engine(std::move(reader));
+    std::vector<std::vector<int64_t>> out;
+    for (const auto &r : requests) {
+        out.push_back(engine.generate(r).tokens);
+    }
+    return out;
+}
+
 TEST(Server, EightThreadsBitIdenticalToSerialUnderInterleaving)
 {
-    std::string path = savedArtifact("edkm", "determinism");
-    auto reader = serve::ArtifactReader::open(path);
+    auto reader = servedArtifact("edkm", "determinism");
 
     // Serial reference: one engine, requests in order.
     std::vector<serve::Server::Request> requests = requestMix(32, 11);
-    serve::InferenceEngine serial(reader);
-    std::vector<std::vector<int64_t>> want;
-    for (const auto &r : requests) {
-        want.push_back(serial.generate(r).tokens);
-    }
+    std::vector<std::vector<int64_t>> want = serialWant(reader, requests);
 
-    // 8 worker threads, all 32 requests in flight at once, twice over
-    // (the second pass hits warm per-engine caches and a reused KV
-    // cache — still bit-identical).
+    // 8 submitter threads each put all 32 requests in flight (each in
+    // its own rotation, so submissions interleave), twice over — the
+    // second pass hits a warm decode cache and prefix cache, still
+    // bit-identical.
+    constexpr int kSubmitters = 8;
     serve::ServerConfig cfg;
-    cfg.threads = 8;
+    cfg.scheduler.prefixCacheBytes = 1 << 20;
     serve::Server server(reader, cfg);
+    const size_t n = requests.size();
     for (int pass = 0; pass < 2; ++pass) {
-        std::vector<serve::Server::RequestId> ids =
-            server.submit(requests);
-        std::vector<serve::Server::Response> got = server.wait(ids);
-        ASSERT_EQ(got.size(), requests.size());
-        for (size_t i = 0; i < got.size(); ++i) {
-            EXPECT_EQ(got[i].tokens, want[i])
-                << "pass " << pass << " request " << i;
+        std::vector<std::thread> submitters;
+        for (int t = 0; t < kSubmitters; ++t) {
+            submitters.emplace_back([&, t] {
+                std::vector<size_t> order;
+                std::vector<serve::Server::RequestId> ids;
+                for (size_t k = 0; k < n; ++k) {
+                    order.push_back((k + 4 * static_cast<size_t>(t)) % n);
+                    ids.push_back(server.submit(requests[order.back()]));
+                }
+                for (size_t k = 0; k < n; ++k) {
+                    size_t i = order[k];
+                    EXPECT_EQ(server.wait(ids[k]).tokens, want[i])
+                        << "pass " << pass << " submitter " << t
+                        << " request " << i;
+                    // Per-request stats are recorded and consistent.
+                    serve::Server::RequestStats st =
+                        server.requestStats(ids[k]);
+                    EXPECT_EQ(st.promptTokens,
+                              static_cast<int64_t>(
+                                  requests[i].prompt.size()));
+                    EXPECT_EQ(st.newTokens, requests[i].maxNewTokens);
+                }
+                server.release(ids); // long-lived servers drop tickets
+            });
         }
-        // Per-request stats are recorded and consistent.
-        for (size_t i = 0; i < ids.size(); ++i) {
-            serve::Server::RequestStats st = server.requestStats(ids[i]);
-            EXPECT_EQ(st.promptTokens,
-                      static_cast<int64_t>(requests[i].prompt.size()));
-            EXPECT_EQ(st.newTokens, requests[i].maxNewTokens);
-            EXPECT_GE(st.engine, 0);
-            EXPECT_LT(st.engine, cfg.threads);
+        for (std::thread &th : submitters) {
+            th.join();
         }
-        server.release(ids); // long-lived servers drop finished tickets
     }
-    EXPECT_EQ(server.completed(), 64);
-    std::remove(path.c_str());
+    EXPECT_EQ(server.completed(), 2 * kSubmitters * static_cast<int64_t>(n));
 }
 
-TEST(Server, PerThreadDecodeCachesStayIsolatedUnderConcurrency)
+TEST(Server, DecodeCacheBudgetBindsOnTheOneEngine)
 {
-    // fp16 forces lazy dense decodes; a tiny budget forces every
-    // engine to run its own LRU eviction while its neighbours do the
-    // same — budgets and counters must never bleed across threads.
-    std::string path = savedArtifact("fp16", "lru");
-    auto reader = serve::ArtifactReader::open(path);
+    // fp16 forces lazy dense decodes; a budget far below the working
+    // set forces the engine to run its LRU eviction between the
+    // batched forwards — without changing a single output token.
+    auto reader = servedArtifact("fp16", "lru");
+    std::vector<serve::Server::Request> requests =
+        requestMix(32, 23, /*min_new=*/1);
+    std::vector<std::vector<int64_t>> want = serialWant(reader, requests);
 
     serve::ServerConfig cfg;
-    cfg.threads = 8;
-    cfg.engine.decodeCacheBytes = 16 << 10; // far below the working set
+    cfg.decodeCacheBytes = 16 << 10;
     serve::Server server(reader, cfg);
-
-    std::vector<serve::Server::RequestId> ids =
-        server.submit(requestMix(32, 23, /*min_new=*/1));
-    server.wait(ids);
-
-    std::set<int> used;
-    for (serve::Server::RequestId id : ids) {
-        used.insert(server.requestStats(id).engine);
+    std::vector<serve::Server::Response> got =
+        server.wait(server.submit(requests));
+    for (size_t i = 0; i < requests.size(); ++i) {
+        EXPECT_EQ(got[i].tokens, want[i]) << "request " << i;
     }
-    int64_t total_decodes = 0;
-    for (int i = 0; i < cfg.threads; ++i) {
-        const serve::EngineStats &st = server.engineStats(i);
-        // The budget binds per engine, not globally.
-        EXPECT_LE(st.cacheBytes, cfg.engine.decodeCacheBytes)
-            << "engine " << i;
-        if (used.count(i) != 0) {
-            // An engine that served anything decoded for itself (its
-            // neighbours' caches are invisible to it) and, with the
-            // budget this far under the working set, evicted too.
-            EXPECT_GT(st.decodes, 0) << "engine " << i;
-            EXPECT_GT(st.evictions, 0) << "engine " << i;
-        } else {
-            EXPECT_EQ(st.decodes, 0) << "engine " << i;
-        }
-        total_decodes += st.decodes;
-    }
-    // Isolation means work is repeated per engine, never shared: at
-    // least one decode per serving engine.
-    EXPECT_GE(total_decodes,
-              static_cast<int64_t>(used.size()));
-    std::remove(path.c_str());
+
+    const serve::EngineStats &st = server.engineStats();
+    EXPECT_LE(st.cacheBytes, cfg.decodeCacheBytes);
+    EXPECT_GT(st.decodes, 0);
+    EXPECT_GT(st.evictions, 0);
 }
 
 TEST(Server, SubmitWaitTicketsAndErrorPropagation)
 {
-    std::string path = savedArtifact("rtn", "tickets");
-    auto reader = serve::ArtifactReader::open(path);
-    serve::ServerConfig cfg;
-    cfg.threads = 2;
-    serve::Server server(reader, cfg);
+    auto reader = servedArtifact("rtn", "tickets");
+    serve::Server server(reader);
 
     // wait() is callable more than once and in any order.
     serve::Server::RequestId a = server.submit({{1, 2, 3}, 2});
@@ -187,7 +190,7 @@ TEST(Server, SubmitWaitTicketsAndErrorPropagation)
     EXPECT_EQ(server.wait(a).tokens, ra.tokens);
 
     // A failing request (empty prompt) surfaces its exception from
-    // wait() without poisoning the server or leaking its engine.
+    // wait() without poisoning the server.
     serve::Server::RequestId bad = server.submit({{}, 2});
     EXPECT_THROW(server.wait(bad), FatalError);
     serve::Server::Response ok = server.wait(server.submit({{7}, 2}));
@@ -201,30 +204,62 @@ TEST(Server, SubmitWaitTicketsAndErrorPropagation)
     EXPECT_THROW(server.wait(a), FatalError);
     EXPECT_EQ(server.wait(server.submit({{8, 9}, 1})).tokens.size(),
               3u);
-    std::remove(path.c_str());
+}
+
+TEST(Server, OversizedRequestFailsItsTicketAndServingContinues)
+{
+    auto reader = servedArtifact("rtn", "oversized");
+    serve::Server server(reader);
+
+    // A request whose KV position count overflows fails its own ticket
+    // with the FatalError naming its size.
+    serve::Server::RequestId overflow = server.submit(
+        {{1, 2, 3}, std::numeric_limits<int64_t>::max()});
+    try {
+        server.wait(overflow);
+        ADD_FAILURE() << "overflowing request served";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("3 prompt"),
+                  std::string::npos)
+            << e.what();
+    }
+    int64_t failed = 1;
+    if (test::kAllocFailureThrows) {
+        // One whose KV cache cannot be allocated fails with bad_alloc.
+        EXPECT_THROW(server.wait(server.submit(
+                         {{1, 2, 3}, test::kUnallocatableNewTokens})),
+                     std::bad_alloc);
+        ++failed;
+    }
+
+    // The step loop lives on and serves the next request exactly.
+    serve::Server::Request next({4, 5, 6}, 4);
+    EXPECT_EQ(server.wait(server.submit(next)).tokens,
+              serve::InferenceEngine(reader).generate(next).tokens);
+    std::string json = server.metricsJson();
+    EXPECT_NE(json.find("\"failed\": " + std::to_string(failed)),
+              std::string::npos)
+        << json;
 }
 
 TEST(Server, DestructorDrainsInFlightRequests)
 {
-    std::string path = savedArtifact("edkm", "drain");
-    auto reader = serve::ArtifactReader::open(path);
-    std::vector<serve::Server::RequestId> ids;
+    auto reader = servedArtifact("edkm", "drain");
+    std::weak_ptr<const serve::ArtifactReader> map = reader;
     {
-        serve::ServerConfig cfg;
-        cfg.threads = 4;
-        serve::Server server(reader, cfg);
-        ids = server.submit(requestMix(16, 31));
+        serve::Server server(std::move(reader));
+        std::vector<serve::Server::RequestId> ids =
+            server.submit(requestMix(16, 31));
         // No wait: the destructor must drain the queue without
         // crashing or deadlocking.
     }
-    SUCCEED();
-    std::remove(path.c_str());
+    // Drained and torn down: nothing pins the mapping any more.
+    EXPECT_TRUE(map.expired());
 }
 
 TEST(Server, BatchedModeBitIdenticalToSerialWithSharedPrompts)
 {
-    std::string path = savedArtifact("edkm", "batched");
-    auto reader = serve::ArtifactReader::open(path);
+    auto reader = servedArtifact("edkm", "batched");
 
     // Mix of independent requests and a shared-prompt-head cluster so
     // the prefix cache engages mid-stream.
@@ -235,14 +270,9 @@ TEST(Server, BatchedModeBitIdenticalToSerialWithSharedPrompts)
         r.maxNewTokens = 3;
         requests.push_back(std::move(r));
     }
-    serve::InferenceEngine serial(reader);
-    std::vector<std::vector<int64_t>> want;
-    for (const auto &r : requests) {
-        want.push_back(serial.generate(r).tokens);
-    }
+    std::vector<std::vector<int64_t>> want = serialWant(reader, requests);
 
     serve::ServerConfig cfg;
-    cfg.batched = true;
     cfg.scheduler.maxBatch = 4;
     cfg.scheduler.prefillChunkTokens = 3;
     cfg.scheduler.prefixCacheBytes = 1 << 20;
@@ -269,21 +299,18 @@ TEST(Server, BatchedModeBitIdenticalToSerialWithSharedPrompts)
     }
     EXPECT_EQ(server.completed(),
               2 * static_cast<int64_t>(requests.size()));
-    // The metrics surface reports the mode, the step histogram and a
-    // warm prefix cache.
+    // The metrics surface reports the scheduler block with its step
+    // histogram.
     std::string json = server.metricsJson();
-    EXPECT_NE(json.find("\"mode\": \"batched\""), std::string::npos);
+    EXPECT_NE(json.find("\"scheduler\": {"), std::string::npos);
     EXPECT_NE(json.find("\"batch_histogram\""), std::string::npos);
     EXPECT_NE(json.find("\"queue_depth\": 0"), std::string::npos);
-    std::remove(path.c_str());
 }
 
 TEST(Server, BatchedReleaseCancelsQueuedTicketWithoutWedgingTheLoop)
 {
-    std::string path = savedArtifact("rtn", "cancel");
-    auto reader = serve::ArtifactReader::open(path);
+    auto reader = servedArtifact("rtn", "cancel");
     serve::ServerConfig cfg;
-    cfg.batched = true;
     cfg.scheduler.maxBatch = 1; // everything behind `first` queues
     serve::Server server(reader, cfg);
 
@@ -299,32 +326,18 @@ TEST(Server, BatchedReleaseCancelsQueuedTicketWithoutWedgingTheLoop)
     EXPECT_EQ(server.wait(kept).tokens.size(), 4u);
     EXPECT_EQ(server.cancelled(), 1);
     EXPECT_EQ(server.completed(), 3);
-    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------
 // Hot model swap
 // ---------------------------------------------------------------------
 
-/** Serial per-artifact reference outputs for @p requests. */
-std::vector<std::vector<int64_t>>
-serialWant(std::shared_ptr<const serve::ArtifactReader> reader,
-           const std::vector<serve::Server::Request> &requests)
-{
-    serve::InferenceEngine engine(std::move(reader));
-    std::vector<std::vector<int64_t>> out;
-    for (const auto &r : requests) {
-        out.push_back(engine.generate(r).tokens);
-    }
-    return out;
-}
-
+// The name dates from the thread-pool serving mode; the per-generation
+// and mapping-release guarantees it checks now hold for the step loop.
 TEST(Server, ThreadedHotSwapIsPerGenerationBitExactAndReleasesOldMap)
 {
-    std::string path_a = savedArtifact("edkm", "swap_a");
-    std::string path_b = savedArtifact("rtn", "swap_b");
-    auto reader_a = serve::ArtifactReader::open(path_a);
-    auto reader_b = serve::ArtifactReader::open(path_b);
+    auto reader_a = servedArtifact("edkm", "swap_a");
+    auto reader_b = servedArtifact("rtn", "swap_b");
     std::weak_ptr<const serve::ArtifactReader> old_map = reader_a;
 
     std::vector<serve::Server::Request> requests = requestMix(12, 61);
@@ -333,14 +346,12 @@ TEST(Server, ThreadedHotSwapIsPerGenerationBitExactAndReleasesOldMap)
     std::vector<std::vector<int64_t>> want_b =
         serialWant(reader_b, requests);
 
-    serve::ServerConfig cfg;
-    cfg.threads = 4;
-    serve::Server server(std::move(reader_a), cfg);
+    serve::Server server(std::move(reader_a));
     EXPECT_EQ(server.generation(), 0);
 
     std::vector<serve::Server::RequestId> ids_a =
         server.submit(requests);
-    server.swap(reader_b); // drains generation 0 before returning
+    server.swap(reader_b); // cuts over once generation 0 has drained
     EXPECT_EQ(server.generation(), 1);
     std::vector<serve::Server::RequestId> ids_b =
         server.submit(requests);
@@ -358,78 +369,60 @@ TEST(Server, ThreadedHotSwapIsPerGenerationBitExactAndReleasesOldMap)
     server.release(ids_a);
     server.release(ids_b);
 
-    // With the generation-0 tickets released and every engine rebuilt,
+    // With the generation-0 tickets released and the engine retargeted,
     // nothing pins the old mapping any more.
     EXPECT_TRUE(old_map.expired());
     std::string json = server.metricsJson();
     EXPECT_NE(json.find("\"generation\": 1"), std::string::npos);
-    std::remove(path_a.c_str());
-    std::remove(path_b.c_str());
 }
 
-// Swap-safety hammer: submissions race hot swaps in both modes; every
-// ticket must complete (zero drops) and match the serial reference of
-// the generation it reports — never a mix.
+// Swap-safety hammer: submissions race hot swaps; every ticket must
+// complete (zero drops) and match the serial reference of the
+// generation it reports — never a mix.
 TEST(Server, SwapHammerSubmissionsRaceSwapsWithoutDropsOrMixing)
 {
-    std::string path_a = savedArtifact("edkm", "hammer_a");
-    std::string path_b = savedArtifact("rtn", "hammer_b");
-    auto reader_a = serve::ArtifactReader::open(path_a);
-    auto reader_b = serve::ArtifactReader::open(path_b);
+    auto reader_a = servedArtifact("edkm", "hammer_a");
+    auto reader_b = servedArtifact("rtn", "hammer_b");
 
     std::vector<serve::Server::Request> requests = requestMix(8, 67);
     std::vector<std::vector<int64_t>> want[2] = {
         serialWant(reader_a, requests), serialWant(reader_b, requests)};
 
-    serve::ServerConfig threaded;
-    threaded.threads = 4;
-    serve::ServerConfig batched;
-    batched.batched = true;
-    batched.scheduler.maxBatch = 3;
-    batched.scheduler.prefixCacheBytes = 1 << 20;
-
-    for (const serve::ServerConfig &cfg : {threaded, batched}) {
-        serve::Server server(reader_a, cfg);
-        std::vector<serve::Server::RequestId> ids;
-        std::thread swapper([&] {
-            // Generations 1..3 alternate B, A, B while submissions run.
-            for (int g = 1; g <= 3; ++g) {
-                server.swap(g % 2 == 1 ? reader_b : reader_a);
-            }
-        });
-        for (int pass = 0; pass < 6; ++pass) {
-            for (const auto &id : server.submit(requests)) {
-                ids.push_back(id);
-            }
+    serve::ServerConfig cfg;
+    cfg.scheduler.maxBatch = 3;
+    cfg.scheduler.prefixCacheBytes = 1 << 20;
+    serve::Server server(reader_a, cfg);
+    std::vector<serve::Server::RequestId> ids;
+    std::thread swapper([&] {
+        // Generations 1..3 alternate B, A, B while submissions run.
+        for (int g = 1; g <= 3; ++g) {
+            server.swap(g % 2 == 1 ? reader_b : reader_a);
         }
-        swapper.join();
-        ASSERT_EQ(server.generation(), 3);
-
-        for (size_t i = 0; i < ids.size(); ++i) {
-            serve::Server::Response got = server.wait(ids[i]); // no drop
-            serve::Server::RequestStats st =
-                server.requestStats(ids[i]);
-            ASSERT_GE(st.generation, 0);
-            ASSERT_LE(st.generation, 3);
-            // Even generation -> artifact A, odd -> artifact B.
-            EXPECT_EQ(got.tokens,
-                      want[st.generation % 2][i % requests.size()])
-                << (cfg.batched ? "batched" : "threaded") << " ticket "
-                << i << " generation " << st.generation;
+    });
+    for (int pass = 0; pass < 6; ++pass) {
+        for (const auto &id : server.submit(requests)) {
+            ids.push_back(id);
         }
-        EXPECT_EQ(server.completed(),
-                  static_cast<int64_t>(ids.size()));
     }
-    std::remove(path_a.c_str());
-    std::remove(path_b.c_str());
+    swapper.join();
+    ASSERT_EQ(server.generation(), 3);
+
+    for (size_t i = 0; i < ids.size(); ++i) {
+        serve::Server::Response got = server.wait(ids[i]); // no drop
+        serve::Server::RequestStats st = server.requestStats(ids[i]);
+        ASSERT_GE(st.generation, 0);
+        ASSERT_LE(st.generation, 3);
+        // Even generation -> artifact A, odd -> artifact B.
+        EXPECT_EQ(got.tokens, want[st.generation % 2][i % requests.size()])
+            << "ticket " << i << " generation " << st.generation;
+    }
+    EXPECT_EQ(server.completed(), static_cast<int64_t>(ids.size()));
 }
 
 TEST(Server, BatchedHotSwapDrainsInFlightAndFlushesThePrefixCache)
 {
-    std::string path_a = savedArtifact("edkm", "bswap_a");
-    std::string path_b = savedArtifact("rtn", "bswap_b");
-    auto reader_a = serve::ArtifactReader::open(path_a);
-    auto reader_b = serve::ArtifactReader::open(path_b);
+    auto reader_a = servedArtifact("edkm", "bswap_a");
+    auto reader_b = servedArtifact("rtn", "bswap_b");
 
     // Shared prompt heads so the prefix cache banks entries that the
     // swap must flush (artifact-A KV rows never seed artifact-B).
@@ -446,7 +439,6 @@ TEST(Server, BatchedHotSwapDrainsInFlightAndFlushesThePrefixCache)
         serialWant(reader_b, requests);
 
     serve::ServerConfig cfg;
-    cfg.batched = true;
     cfg.scheduler.maxBatch = 4;
     cfg.scheduler.prefixCacheBytes = 1 << 20;
     serve::Server server(reader_a, cfg);
@@ -467,8 +459,6 @@ TEST(Server, BatchedHotSwapDrainsInFlightAndFlushesThePrefixCache)
     std::string json = server.metricsJson();
     EXPECT_NE(json.find("\"generation\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"generation_flushes\""), std::string::npos);
-    std::remove(path_a.c_str());
-    std::remove(path_b.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -477,45 +467,34 @@ TEST(Server, BatchedHotSwapDrainsInFlightAndFlushesThePrefixCache)
 
 TEST(Server, TypedDeadlineAndCancelErrorsSurfaceFromWait)
 {
-    std::string path = savedArtifact("rtn", "typed");
-    auto reader = serve::ArtifactReader::open(path);
+    auto reader = servedArtifact("rtn", "typed");
 
-    serve::ServerConfig threaded;
-    threaded.threads = 2;
-    serve::ServerConfig batched;
-    batched.batched = true;
-    for (const serve::ServerConfig &cfg : {threaded, batched}) {
-        serve::Server server(reader, cfg);
+    serve::Server server(reader);
 
-        serve::Server::Request late({1, 2, 3}, 5);
-        late.deadline = std::chrono::steady_clock::now() -
-                        std::chrono::milliseconds(1);
-        EXPECT_THROW(server.wait(server.submit(std::move(late))),
-                     serve::DeadlineExceeded);
+    serve::Server::Request late({1, 2, 3}, 5);
+    late.deadline =
+        std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+    EXPECT_THROW(server.wait(server.submit(std::move(late))),
+                 serve::DeadlineExceeded);
 
-        serve::Server::Request dead({4, 5}, 5);
-        dead.cancel = std::make_shared<CancelToken>();
-        dead.cancel->requestCancel();
-        EXPECT_THROW(server.wait(server.submit(std::move(dead))),
-                     serve::Cancelled);
+    serve::Server::Request dead({4, 5}, 5);
+    dead.cancel = std::make_shared<CancelToken>();
+    dead.cancel->requestCancel();
+    EXPECT_THROW(server.wait(server.submit(std::move(dead))),
+                 serve::Cancelled);
 
-        // The server keeps serving afterwards.
-        EXPECT_EQ(server.wait(server.submit({{6}, 2})).tokens.size(),
-                  3u);
-    }
-    std::remove(path.c_str());
+    // The server keeps serving afterwards.
+    EXPECT_EQ(server.wait(server.submit({{6}, 2})).tokens.size(), 3u);
 }
 
 TEST(Server, ReleaseCancelsInFlightTicketsAndFreesTheirSlots)
 {
-    std::string path = savedArtifact("rtn", "inflight");
-    auto reader = serve::ArtifactReader::open(path);
+    auto reader = servedArtifact("rtn", "inflight");
 
-    // Batched, maxBatch 2: FIFO admission means `longrun` is in a slot
-    // once `quick` has completed. release() of the in-flight ticket
-    // must evict it between steps and hand its slot to `next`.
+    // maxBatch 2: FIFO admission means `longrun` is in a slot once
+    // `quick` has completed. release() of the in-flight ticket must
+    // evict it between steps and hand its slot to `next`.
     serve::ServerConfig cfg;
-    cfg.batched = true;
     cfg.scheduler.maxBatch = 2;
     serve::Server server(reader, cfg);
     serve::Server::Request want_next({11, 12}, 3);
@@ -532,69 +511,251 @@ TEST(Server, ReleaseCancelsInFlightTicketsAndFreesTheirSlots)
     EXPECT_EQ(server.wait(next).tokens.size(), 5u);
     std::string json = server.metricsJson();
     EXPECT_NE(json.find("\"released\": 1"), std::string::npos);
-
-    // Threaded: an in-flight release interrupts the engine mid-ticket.
-    serve::ServerConfig tcfg;
-    tcfg.threads = 1;
-    serve::Server tserver(reader, tcfg);
-    serve::Server::RequestId busy = tserver.submit({{1}, 2000});
-    tserver.release(busy);
-    EXPECT_THROW(tserver.wait(busy), FatalError);
-    EXPECT_EQ(tserver.wait(tserver.submit({{2, 3}, 1})).tokens.size(),
-              3u);
-    std::remove(path.c_str());
 }
 
 TEST(Server, MetricsJsonCarriesLatencyHistogramsAndQueueWaitStats)
 {
-    std::string path = savedArtifact("fp16", "latency");
-    auto reader = serve::ArtifactReader::open(path);
+    auto reader = servedArtifact("fp16", "latency");
 
-    serve::ServerConfig threaded;
-    threaded.threads = 2;
-    serve::ServerConfig batched;
-    batched.batched = true;
-    batched.scheduler.maxBatch = 2;
-    for (const serve::ServerConfig &cfg : {threaded, batched}) {
-        serve::Server server(reader, cfg);
-        std::vector<serve::Server::RequestId> ids =
-            server.submit(requestMix(8, 71, /*min_new=*/1));
-        server.wait(ids);
-        for (serve::Server::RequestId id : ids) {
-            serve::Server::RequestStats st = server.requestStats(id);
-            EXPECT_GE(st.queueMillis, 0.0);
-            EXPECT_GE(st.millis, 0.0);
-        }
-        std::string json = server.metricsJson();
-        for (const char *key :
-             {"\"latency\"", "\"queue_wait\"", "\"e2e\"", "\"p50_ms\"",
-              "\"p95_ms\"", "\"p99_ms\"", "\"count\": 8",
-              "\"buckets\""}) {
-            EXPECT_NE(json.find(key), std::string::npos)
-                << (cfg.batched ? "batched" : "threaded") << " missing "
-                << key;
-        }
+    serve::ServerConfig cfg;
+    cfg.scheduler.maxBatch = 2;
+    serve::Server server(reader, cfg);
+    std::vector<serve::Server::RequestId> ids =
+        server.submit(requestMix(8, 71, /*min_new=*/1));
+    server.wait(ids);
+    for (serve::Server::RequestId id : ids) {
+        serve::Server::RequestStats st = server.requestStats(id);
+        EXPECT_GE(st.queueMillis, 0.0);
+        EXPECT_GE(st.millis, 0.0);
     }
-    std::remove(path.c_str());
+    std::string json = server.metricsJson();
+    for (const char *key :
+         {"\"latency\"", "\"queue_wait\"", "\"e2e\"", "\"p50_ms\"",
+          "\"p95_ms\"", "\"p99_ms\"", "\"count\": 8", "\"buckets\""}) {
+        EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
+    }
 }
 
 TEST(Server, BatchedDestructorDrainsQueuedAndInFlightTickets)
 {
-    std::string path = savedArtifact("edkm", "batcheddrain");
-    auto reader = serve::ArtifactReader::open(path);
+    auto reader = servedArtifact("edkm", "batcheddrain");
+    std::weak_ptr<const serve::ArtifactReader> map = reader;
     {
         serve::ServerConfig cfg;
-        cfg.batched = true;
         cfg.scheduler.maxBatch = 2; // most of the 16 sit queued
-        serve::Server server(reader, cfg);
+        serve::Server server(std::move(reader), cfg);
         std::vector<serve::Server::RequestId> ids =
             server.submit(requestMix(16, 53));
         server.release(ids.back()); // cancel one queued ticket too
         // No wait: the destructor must admit and finish every queued
         // ticket (or honour its cancellation) without deadlocking.
     }
-    SUCCEED();
-    std::remove(path.c_str());
+    // Drained and torn down: nothing pins the mapping any more.
+    EXPECT_TRUE(map.expired());
+}
+
+// ---------------------------------------------------------------------
+// Property test: randomized arrivals, cancels, deadlines and swaps
+// ---------------------------------------------------------------------
+
+/** Run @p call, aborting with @p what in the log if it blocks for over
+ *  30 s: a wedged step loop fails fast and names its seed. */
+template <class F>
+auto
+bounded(const std::string &what, F call)
+{
+    auto result = std::async(std::launch::async, std::move(call));
+    if (result.wait_for(std::chrono::seconds(30)) ==
+        std::future_status::timeout) {
+        std::fprintf(stderr, "wedged: %s\n", what.c_str());
+        std::abort();
+    }
+    return result.get();
+}
+
+/** Integer field @p key of metricsJson()'s scheduler block. */
+int64_t
+schedulerField(const std::string &json, const std::string &key)
+{
+    size_t at =
+        json.find("\"" + key + "\": ", json.find("\"scheduler\""));
+    EXPECT_NE(at, std::string::npos) << key << " in " << json;
+    return std::stoll(json.substr(at + key.size() + 4));
+}
+
+TEST(Server, RandomizedArrivalsCancelsDeadlinesAndSwapsKeepTheInvariant)
+{
+    auto reader_a = servedArtifact("edkm", "prop_a");
+    auto reader_b = servedArtifact("rtn", "prop_b");
+    // Serial references; even generations serve A, odd ones B.
+    serve::InferenceEngine serial[2] = {serve::InferenceEngine(reader_a),
+                                        serve::InferenceEngine(reader_b)};
+    // The one outcome an unreleased ticket may end in (kTokens: served
+    // bit-identical to serial; kError: validation or allocation).
+    enum Outcome
+    {
+        kTokens,
+        kDeadline,
+        kCancelled,
+        kError,
+        kTokensOrDeadline,
+    };
+    struct Ticket
+    {
+        serve::Server::RequestId id;
+        serve::Server::Request request;
+        Outcome expect;
+    };
+
+    for (uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        auto label = [seed](const std::string &what) {
+            return "seed " + std::to_string(seed) + ": " + what;
+        };
+        Rng rng(seed);
+        serve::ServerConfig cfg;
+        cfg.scheduler.maxBatch = 3;
+        cfg.scheduler.prefillChunkTokens = 3;
+        cfg.scheduler.prefixCacheBytes = 1 << 20;
+        serve::Server server(reader_a, cfg);
+        int64_t submitted = 0;
+        auto submit = [&](serve::Server::Request r) {
+            ++submitted;
+            return server.submit(std::move(r));
+        };
+
+        // Three long blockers fill every slot: a ticket submitted behind
+        // them is released while queued, and a blocker seen in flight is
+        // released in flight.
+        std::vector<serve::Server::RequestId> to_release;
+        for (int64_t b = 0; b < 3; ++b) {
+            to_release.push_back(submit({{b + 1, 2, 3}, 4000}));
+        }
+        bounded(label("blockers admitted"), [&] {
+            while (schedulerField(server.metricsJson(), "active") < 3) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+        });
+        server.release(submit({{9, 9}, 2}));
+        EXPECT_EQ(server.cancelled(), 1);
+        bounded(label("in-flight release"),
+                [&] { server.release(to_release.front()); });
+        to_release.erase(to_release.begin());
+
+        std::thread swapper([&] {
+            for (int g = 1; g <= 3; ++g) {
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(500 * g));
+                server.swap(g % 2 == 1 ? reader_b : reader_a);
+            }
+        });
+        std::vector<Ticket> tickets;
+        for (int i = 0; i < 36; ++i) {
+            serve::Server::Request r;
+            for (int64_t t = 0, len = 1 + rng.randint(0, 5); t < len; ++t) {
+                // Every other prompt shares a head, so the prefix cache
+                // banks, restores and flushes across the swaps.
+                r.prompt.push_back(t < 3 && i % 2 == 0 ? 5
+                                                       : rng.randint(0, 63));
+            }
+            r.maxNewTokens = rng.randint(0, 8);
+            Outcome expect = kTokens;
+            int64_t kind = rng.randint(0, 99);
+            auto now = std::chrono::steady_clock::now();
+            if (kind < 10) {
+                r.deadline = now - std::chrono::milliseconds(1);
+                expect = kDeadline;
+            } else if (kind < 20) {
+                r.deadline =
+                    now + std::chrono::milliseconds(rng.randint(0, 3));
+                expect = kTokensOrDeadline;
+            } else if (kind < 28) {
+                r.cancel = std::make_shared<CancelToken>();
+                r.cancel->requestCancel();
+                expect = kCancelled;
+            } else if (kind < 36) {
+                r.prompt.clear();
+                expect = kError;
+            } else if (kind < 44) {
+                r.maxNewTokens = test::kAllocFailureThrows && i % 2 == 0
+                                     ? test::kUnallocatableNewTokens
+                                     : std::numeric_limits<int64_t>::max();
+                expect = kError;
+            }
+            serve::Server::RequestId id = submit(r);
+            if (kind >= 44 && kind < 56) {
+                to_release.push_back(id);
+            } else {
+                tickets.push_back({id, std::move(r), expect});
+            }
+            // Release a pending ticket at random points: queued ones
+            // leave the queue, admitted ones are evicted between steps.
+            if (rng.randint(0, 3) == 0 && !to_release.empty()) {
+                int64_t n = static_cast<int64_t>(to_release.size());
+                auto victim = to_release.begin() + rng.randint(0, n - 1);
+                bounded(label("release"), [&] { server.release(*victim); });
+                to_release.erase(victim);
+            }
+        }
+        bounded(label("release the rest"),
+                [&] { server.release(to_release); });
+        bounded(label("swapper"), [&] { swapper.join(); });
+        EXPECT_EQ(server.generation(), 3);
+
+        for (const Ticket &t : tickets) {
+            std::string what = label("ticket " + std::to_string(t.id));
+            Outcome got = kError;
+            std::vector<int64_t> tokens;
+            try {
+                tokens = bounded(what,
+                                 [&] { return server.wait(t.id).tokens; });
+                got = kTokens;
+            } catch (const serve::DeadlineExceeded &) {
+                got = kDeadline;
+            } catch (const serve::Cancelled &) {
+                got = kCancelled;
+            } catch (const FatalError &) {
+            } catch (const std::bad_alloc &) {
+            }
+            EXPECT_TRUE(got == t.expect ||
+                        (t.expect == kTokensOrDeadline &&
+                         (got == kTokens || got == kDeadline)))
+                << what << ": expected outcome " << t.expect << ", got "
+                << got;
+            if (got == kTokens) {
+                // The reference runs undisturbed: no deadline, no token.
+                serve::Server::Request ref(t.request.prompt,
+                                           t.request.maxNewTokens);
+                int64_t gen = server.requestStats(t.id).generation;
+                EXPECT_EQ(tokens, serial[gen % 2].generate(ref).tokens)
+                    << what << " generation " << gen;
+            }
+        }
+
+        // Once idle, every submitted ticket is accounted for exactly
+        // once: cancelled in the queue, or admitted and then completed,
+        // failed, deadline-evicted or released.
+        std::string json = bounded(label("idle"), [&] {
+            for (;;) {
+                std::string now = server.metricsJson();
+                if (schedulerField(now, "active") == 0 &&
+                    schedulerField(now, "admitted") + server.cancelled() ==
+                        submitted) {
+                    return now;
+                }
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+        });
+        int64_t admitted = schedulerField(json, "admitted");
+        EXPECT_EQ(admitted, schedulerField(json, "completed") +
+                                schedulerField(json, "failed") +
+                                schedulerField(json, "deadline_evicted") +
+                                schedulerField(json, "released"))
+            << json;
+        EXPECT_EQ(server.cancelled() + admitted, submitted);
+        EXPECT_EQ(server.completed(), submitted);
+        EXPECT_GE(schedulerField(json, "released"), 1); // in-flight blocker
+    }
 }
 
 } // namespace
