@@ -1,8 +1,6 @@
 #include "nn/attention.h"
 
-#include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "autograd/functional.h"
 #include "tensor/ops.h"
@@ -62,37 +60,6 @@ buildCausalMask(int64_t s)
 }
 
 Tensor
-attentionStep(const Tensor &q, const Tensor &k_cache,
-              const Tensor &v_cache, int64_t pos)
-{
-    EDKM_CHECK(q.dim() == 3 && q.size(1) == 1,
-               "attentionStep: q must be [G,1,hd]");
-    int64_t g = q.size(0), hd = q.size(2);
-    for (const Tensor *cache : {&k_cache, &v_cache}) {
-        EDKM_CHECK(cache->dim() == 3 && cache->size(0) == g &&
-                       cache->size(2) == hd,
-                   "attentionStep: cache must be [", g, ",cap,", hd, "]");
-    }
-    EDKM_CHECK(pos >= 0 && pos < k_cache.size(1),
-               "attentionStep: position ", pos,
-               " outside the cache capacity ", k_cache.size(1));
-
-    // Attend over the valid prefix only. No mask is needed (every
-    // cached position is visible to the current one), and none of the
-    // dropped columns changes a bit: masked scores exp-flush to exactly
-    // +0 in the full computation, softmax's denominator is unchanged by
-    // adding zeros at the tail, and the value matmul's zero skip drops
-    // zero-weight rows from the accumulation entirely.
-    Tensor keys = k_cache.slice(1, 0, pos + 1);   // [G, pos+1, hd]
-    Tensor vals = v_cache.slice(1, 0, pos + 1);
-    float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-    Tensor att = matmul(q, keys.transpose(1, 2)); // [G, 1, pos+1]
-    att = mulScalar(att, scale);
-    att = softmaxLastDim(att);
-    return matmul(att, vals);                     // [G, 1, hd]
-}
-
-Tensor
 attentionChunk(const Tensor &q, const Tensor &k_cache,
                const Tensor &v_cache, int64_t pos0)
 {
@@ -110,103 +77,27 @@ attentionChunk(const Tensor &q, const Tensor &k_cache,
                "attentionChunk: chunk [", pos0, ",", cols,
                ") outside the cache capacity ", k_cache.size(1));
 
-    // The full forward adds a [1, S, S] additive mask (0 visible, -1e9
-    // masked) before the softmax; replay exactly that for the chunk's
-    // rows, over the [0, cols) columns that survive the tail drop.
-    Tensor mask = Tensor::zeros({1, c, cols});
-    float *pm = mask.rawData<float>();
-    for (int64_t i = 0; i < c; ++i) {
-        for (int64_t j = pos0 + i + 1; j < cols; ++j) {
-            pm[i * cols + j] = -1e9f;
-        }
-    }
-
     Tensor keys = k_cache.slice(1, 0, cols);      // [G, cols, hd]
     Tensor vals = v_cache.slice(1, 0, cols);
     float scale = 1.0f / std::sqrt(static_cast<float>(hd));
     Tensor att = matmul(q, keys.transpose(1, 2)); // [G, c, cols]
     att = mulScalar(att, scale);
-    att = add(att, mask);
+    if (c > 1) {
+        // The full forward adds a [1, S, S] additive mask (0 visible,
+        // -1e9 masked) before the softmax; replay exactly that for the
+        // chunk's rows, over the [0, cols) columns that survive the
+        // tail drop. A single row sees every column, so it adds none.
+        Tensor mask = Tensor::zeros({1, c, cols});
+        float *pm = mask.rawData<float>();
+        for (int64_t i = 0; i < c; ++i) {
+            for (int64_t j = pos0 + i + 1; j < cols; ++j) {
+                pm[i * cols + j] = -1e9f;
+            }
+        }
+        att = add(att, mask);
+    }
     att = softmaxLastDim(att);
     return matmul(att, vals);                     // [G, c, hd]
-}
-
-namespace {
-
-/** Copy [G, 1, hd] contiguous rows into row @p pos of a [G, cap, hd]
- *  cache tensor. */
-void
-writeCacheRow(Tensor &cache, const Tensor &rows, int64_t pos)
-{
-    EDKM_CHECK(cache.isContiguous() && cache.dtype() == DType::kF32 &&
-                   rows.isContiguous() && rows.dtype() == DType::kF32,
-               "attention: KV cache rows must be contiguous f32");
-    int64_t g = cache.size(0), cap = cache.size(1), hd = cache.size(2);
-    const float *src = rows.rawData<float>();
-    float *dst = cache.rawData<float>();
-    for (int64_t i = 0; i < g; ++i) {
-        std::memcpy(dst + (i * cap + pos) * hd, src + i * hd,
-                    static_cast<size_t>(hd) * sizeof(float));
-    }
-}
-
-} // namespace
-
-Variable
-MultiHeadAttention::forwardStep(const Variable &x, Tensor &k_cache,
-                                Tensor &v_cache, int64_t pos)
-{
-    // Hard requirement, not just on the input: under grad mode the
-    // projections would build a graph that attentionStep then severs,
-    // silently dropping wq/wk/wv gradients while wo still gets them.
-    EDKM_CHECK(!gradModeEnabled(),
-               "attention: forwardStep is inference-only (wrap the "
-               "decode loop in NoGradGuard)");
-    const Shape &shape = x.data().shape();
-    EDKM_CHECK(shape.size() == 3 && shape[1] == 1 && shape[2] == dim_,
-               "attention: forwardStep expects [B,1,", dim_, "]");
-    int64_t b = shape[0];
-    EDKM_CHECK(k_cache.dim() == 3 && k_cache.size(0) == b * heads_ &&
-                   k_cache.size(2) == head_dim_ &&
-                   v_cache.shape() == k_cache.shape(),
-               "attention: caches must be [B*H, cap, ", head_dim_, "]");
-    EDKM_CHECK(pos >= 0 && pos < k_cache.size(1),
-               "attention: position ", pos,
-               " outside the cache capacity ", k_cache.size(1));
-    // RoPE rows are a pure function of the position, so tables built at
-    // any length agree row-for-row; grow geometrically as pos advances.
-    if (dec_rope_len_ < pos + 1) {
-        dec_rope_len_ = std::max(pos + 1, 2 * dec_rope_len_);
-        buildRopeTables(dec_rope_len_, head_dim_, dec_cos_, dec_sin_);
-    }
-    Tensor cos_row = dec_cos_.slice(0, pos, pos + 1); // [1, hd]
-    Tensor sin_row = dec_sin_.slice(0, pos, pos + 1);
-
-    // Project and split heads exactly as forward() does for s == 1.
-    auto split_heads = [&](Linear &proj) {
-        Variable flat = af::view(x, {b, dim_});
-        Variable y = proj.forward(flat); // [B, D]
-        y = af::view(y, {b, 1, heads_, head_dim_});
-        y = af::transpose(y, 1, 2); // [B, H, 1, hd]
-        y = af::contiguous(y);
-        return af::view(y, {b * heads_, 1, head_dim_});
-    };
-    Variable q = split_heads(*wq_);
-    Variable k = split_heads(*wk_);
-    Variable v = split_heads(*wv_);
-
-    q = af::rope(q, cos_row, sin_row);
-    k = af::rope(k, cos_row, sin_row);
-
-    writeCacheRow(k_cache, k.data(), pos);
-    writeCacheRow(v_cache, v.data(), pos);
-
-    Tensor ctx = attentionStep(q.data(), k_cache, v_cache, pos);
-    // [B*H, 1, hd] is laid out (b, h, hd)-major — the same order the
-    // full forward's transpose+merge produces for its position rows.
-    Variable out =
-        wo_->forward(af::view(af::constant(ctx), {b, dim_}));
-    return af::view(out, {b, 1, dim_});
 }
 
 void

@@ -29,25 +29,7 @@ void buildRopeTables(int64_t s, int64_t head_dim, Tensor &cos_out,
 Tensor buildCausalMask(int64_t s);
 
 /**
- * One causal-attention step at position @p pos over cached keys/values:
- * @p q is the current position's roped query [G, 1, hd] (G = batch *
- * heads), @p k_cache / @p v_cache are [G, capacity, hd] with rows
- * [0, pos] already written (rope'd keys, raw values). Returns the
- * context [G, 1, hd].
- *
- * Bit-identity contract: the result equals row @p pos of the full
- *-prefix attention (mask + softmax over all positions) bit for bit.
- * Masked columns exp-flush to exactly +0 and the matmul zero-skip drops
- * them from the accumulation, so attending over the [0, pos] slice
- * replays the exact FP op sequence of the masked full computation. One
- * definition shared by the train-time module's forwardStep and the
- * serving engine's decode path.
- */
-Tensor attentionStep(const Tensor &q, const Tensor &k_cache,
-                     const Tensor &v_cache, int64_t pos);
-
-/**
- * Causal attention of a whole chunk of queries over cached keys/values:
+ * Causal attention of a chunk of queries over cached keys/values:
  * @p q holds the roped queries of positions [pos0, pos0 + c) as
  * [G, c, hd] (G = batch * heads), @p k_cache / @p v_cache are
  * [G, capacity, hd] with rows [0, pos0 + c) already written — the
@@ -55,14 +37,14 @@ Tensor attentionStep(const Tensor &q, const Tensor &k_cache,
  * the result attends over positions [0, pos0 + i].
  *
  * Bit-identity contract: row i equals row pos0 + i of the full-prefix
- * masked attention bit for bit, by the same argument attentionStep
- * makes — columns beyond pos0 + i are masked with the identical -1e9
- * additive mask the full forward uses (so they exp-flush to exactly
- * +0), columns beyond pos0 + c are dropped entirely (exp-flushed zeros
- * add nothing to the softmax denominator and the value matmul
- * zero-skips them). Chunked prefill — including prefix-cache reuse,
- * where rows [0, pos0) were banked by an earlier request — therefore
- * reproduces the one-shot prefill bit-exactly.
+ * masked attention bit for bit. Columns beyond pos0 + i get the same
+ * -1e9 additive mask the full forward adds, so they exp-flush to
+ * exactly +0; columns from pos0 + c on are dropped, since zeros at the
+ * tail change neither the softmax denominator nor the value matmul,
+ * which skips zero weights. A one-position chunk (c == 1, a decode
+ * step) masks no column, so it adds no mask at all. Chunked prefill,
+ * prefix-cache reuse and single-position decode therefore all
+ * reproduce the one-shot forward bit-exactly.
  */
 Tensor attentionChunk(const Tensor &q, const Tensor &k_cache,
                       const Tensor &v_cache, int64_t pos0);
@@ -80,19 +62,6 @@ class MultiHeadAttention : public Module
     /** @p x [B, S, D] -> [B, S, D] with causal masking. */
     Variable forward(const Variable &x);
 
-    /**
-     * Single-position forward for incremental decode: @p x [B, 1, D] is
-     * the hidden state of the token at position @p pos. Projects
-     * q/k/v, ropes q and k at @p pos, writes k/v into rows @p pos of
-     * @p k_cache / @p v_cache ([B*heads, capacity, hd], rows [0, pos)
-     * already filled by earlier steps), and attends over [0, pos].
-     *
-     * Returns [B, 1, D], bit-identical to column @p pos of forward()
-     * over the full prefix (inference-only: gradients do not flow).
-     */
-    Variable forwardStep(const Variable &x, Tensor &k_cache,
-                         Tensor &v_cache, int64_t pos);
-
     std::string kind() const override { return "attention"; }
 
     Linear &wq() { return *wq_; }
@@ -109,8 +78,6 @@ class MultiHeadAttention : public Module
     Tensor rope_cos_, rope_sin_; ///< [S, head_dim]
     Tensor causal_mask_;         ///< [1, S, S] (0 / -1e9)
     int64_t cached_seq_ = -1;
-    Tensor dec_cos_, dec_sin_;   ///< decode-path RoPE rows (no mask)
-    int64_t dec_rope_len_ = 0;
 };
 
 } // namespace nn

@@ -1,7 +1,6 @@
 #include "serve/engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -163,412 +162,218 @@ InferenceEngine::embed(const Tensor &flat_tokens)
     return af::gatherRows(table, flat_tokens);
 }
 
-void
-InferenceEngine::ensureSeqCaches(int64_t s)
+namespace {
+
+/** Rows [r0, r0+c) of a [R, heads*hd] projection split into
+ *  [heads, c, hd] — the eager forward's head split for one request (a
+ *  view, no copy, when c == 1). */
+Tensor
+headRows(const Tensor &y, int64_t r0, int64_t c, int64_t heads)
 {
-    if (cached_seq_ == s) {
-        return;
-    }
-    // The same builders MultiHeadAttention::ensureCaches uses, so the
-    // rope/mask values match the eager model's bit for bit.
-    nn::buildRopeTables(s, config().dim / config().heads, rope_cos_,
-                        rope_sin_);
-    causal_mask_ = nn::buildCausalMask(s);
-    cached_seq_ = s;
+    int64_t hd = y.size(1) / heads;
+    return y.slice(0, r0, r0 + c)
+        .view({c, heads, hd})
+        .transpose(0, 1)
+        .contiguous();
 }
 
-Variable
-InferenceEngine::splitHeads(const std::string &proj, const Variable &x,
-                            int64_t b, int64_t s)
-{
-    int64_t dim = config().dim, heads = config().heads;
-    Variable flat = af::view(x, {b * s, dim});
-    Variable y = linearForward(proj, flat);
-    y = af::view(y, {b, s, heads, dim / heads});
-    y = af::transpose(y, 1, 2);
-    y = af::contiguous(y);
-    return af::view(y, {b * heads, s, dim / heads});
-}
+} // namespace
 
 Variable
-InferenceEngine::attentionForward(int64_t layer, const Variable &x,
-                                  KvCache *kv)
+InferenceEngine::attention(int64_t layer, const Variable &x,
+                           const std::vector<Segment> &segments)
 {
     int64_t dim = config().dim, heads = config().heads;
-    int64_t head_dim = dim / heads;
-    const Shape &shape = x.data().shape();
-    int64_t b = shape[0], s = shape[1];
-    ensureSeqCaches(s);
     std::string p = "blocks." + std::to_string(layer) + ".attn.";
 
-    Variable q = splitHeads(p + "wq", x, b, s);
-    Variable k = splitHeads(p + "wk", x, b, s);
-    Variable v = splitHeads(p + "wv", x, b, s);
+    // One [R, D] x [D, D] pass per projection serves every segment:
+    // row r is bit-identical to the projection of that row alone
+    // (ops::matmul / matmulStreamed row-shape invariance).
+    Tensor q = linearForward(p + "wq", x).data();
+    Tensor k = linearForward(p + "wk", x).data();
+    Tensor v = linearForward(p + "wv", x).data();
 
-    q = af::rope(q, rope_cos_, rope_sin_);
-    k = af::rope(k, rope_cos_, rope_sin_);
-
-    if (kv != nullptr) {
-        // Prefill: bank this layer's rope'd keys and raw values at the
-        // cache position (the caller advances it after all layers).
-        kv->write(layer, k.data(), v.data());
+    // The attention core runs per segment, in order: rope at its own
+    // positions, bank its K/V rows, attend over its own keys.
+    float *pc = q.rawData<float>();
+    int64_t r0 = 0;
+    for (const Segment &seg : segments) {
+        int64_t c = seg.len;
+        int64_t p0 = seg.kv != nullptr ? seg.kv->position() : 0;
+        Tensor cos = cos_table_.slice(0, p0, p0 + c);
+        Tensor sin = sin_table_.slice(0, p0, p0 + c);
+        auto roped = [&](const Tensor &y) {
+            return af::rope(af::constant(headRows(y, r0, c, heads)), cos,
+                            sin)
+                .data();
+        };
+        Tensor qs = roped(q);
+        Tensor att;
+        if (seg.kv != nullptr) {
+            // Bank rows [p0, p0+c) (run() advances the position after
+            // all layers), then attend over prefix + segment. The
+            // banked copies are the only ones kept past the write.
+            seg.kv->write(layer, roped(k), headRows(v, r0, c, heads));
+            att = nn::attentionChunk(qs, seg.kv->k(layer),
+                                     seg.kv->v(layer), p0);
+        } else {
+            att = nn::attentionChunk(qs, roped(k),
+                                     headRows(v, r0, c, heads), 0);
+        }
+        // [H, c, hd] -> [c, dim]: the eager forward's transpose+merge,
+        // written over the segment's own q rows, which nothing reads
+        // again. q ends up holding the context wo projects.
+        Tensor merged = att.transpose(0, 1).contiguous();
+        std::memcpy(pc + r0 * dim, merged.rawData<float>(),
+                    static_cast<size_t>(c * dim) * sizeof(float));
+        r0 += c;
     }
-
-    float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-    Variable att = af::matmul(q, af::transpose(k, -2, -1));
-    att = af::mulScalar(att, scale);
-    att = af::add(att, af::constant(causal_mask_));
-    att = af::softmaxLastDim(att);
-    Variable ctx = af::matmul(att, v);
-
-    ctx = af::view(ctx, {b, heads, s, head_dim});
-    ctx = af::transpose(ctx, 1, 2);
-    ctx = af::contiguous(ctx);
-    ctx = af::view(ctx, {b * s, dim});
-    Variable out = linearForward(p + "wo", ctx);
-    return af::view(out, {b, s, dim});
+    return linearForward(p + "wo", af::constant(q));
 }
 
 Variable
-InferenceEngine::blockForward(int64_t layer, const Variable &x,
-                              KvCache *kv)
+InferenceEngine::block(int64_t layer, const Variable &x,
+                       const std::vector<Segment> &segments)
 {
-    const Shape &sh = x.data().shape();
-    int64_t b = sh[0], seq = sh[1], d = sh[2];
     std::string p = "blocks." + std::to_string(layer) + ".";
     Variable h = af::add(
-        x, attentionForward(layer, rmsNorm(x, p + "norm1.weight"), kv));
-    Variable flat =
-        af::view(rmsNorm(h, p + "norm2.weight"), {b * seq, d});
-    Variable gate = af::silu(linearForward(p + "mlp.w1", flat));
-    Variable up = linearForward(p + "mlp.w3", flat);
+        x, attention(layer, rmsNorm(x, p + "norm1.weight"), segments));
+    Variable n = rmsNorm(h, p + "norm2.weight");
+    Variable gate = af::silu(linearForward(p + "mlp.w1", n));
+    Variable up = linearForward(p + "mlp.w3", n);
+    // A statement of its own, so the gate*up product is freed before
+    // the residual add allocates (a temporary lives to the end of the
+    // full expression).
     Variable m = linearForward(p + "mlp.w2", af::mul(gate, up));
-    return af::add(h, af::view(m, {b, seq, d}));
+    return af::add(h, m);
 }
 
 Tensor
-InferenceEngine::forwardImpl(const Tensor &tokens, KvCache *kv)
+InferenceEngine::run(const Tensor &tokens,
+                     const std::vector<Segment> &segments)
 {
     NoGradGuard ng;
-    EDKM_CHECK(tokens.dim() == 2,
-               "InferenceEngine: tokens must be [B,S]");
-    int64_t b = tokens.size(0), s = tokens.size(1);
-    Tensor flat_tokens =
-        tokens.isContiguous() ? tokens.view({b * s})
-                              : tokens.contiguous().view({b * s});
-    Variable h = embed(flat_tokens);
-    h = af::view(h, {b, s, config().dim});
+    int64_t rows = 0, positions = 0;
+    for (size_t i = 0; i < segments.size(); ++i) {
+        const Segment &seg = segments[i];
+        EDKM_CHECK(seg.len >= 1, "InferenceEngine: empty segment");
+        rows += seg.len;
+        if (seg.kv == nullptr) {
+            positions = std::max(positions, seg.len);
+            continue;
+        }
+        const KvCache &kv = *seg.kv;
+        EDKM_CHECK(kv.layers() == config().layers &&
+                       kv.groups() == config().heads &&
+                       kv.headDim() == config().dim / config().heads,
+                   "InferenceEngine: KV cache geometry disagrees with "
+                   "the model");
+        EDKM_CHECK(kv.position() + seg.len <= kv.capacity(),
+                   "InferenceEngine: ", seg.len, " token(s) at position ",
+                   kv.position(), " overflow the cache capacity ",
+                   kv.capacity());
+        for (size_t j = 0; j < i; ++j) {
+            EDKM_CHECK(segments[j].kv != seg.kv,
+                       "InferenceEngine: the same KV cache appears "
+                       "twice in one batch");
+        }
+        positions = std::max(positions, kv.position() + seg.len);
+    }
+    EDKM_CHECK(tokens.dim() == 1 && tokens.size(0) == rows,
+               "InferenceEngine: ", tokens.numel(),
+               " token(s) for segments of ", rows, " row(s)");
+    ensureRope(positions);
+
+    Variable h = embed(tokens);
     for (int64_t l = 0; l < config().layers; ++l) {
-        h = blockForward(l, h, kv);
+        h = block(l, h, segments);
     }
     h = rmsNorm(h, "final_norm.weight");
-    h = af::view(h, {b * s, config().dim});
-    return linearForward("lm_head", h).data();
+    Tensor logits = linearForward("lm_head", h).data();
+    for (const Segment &seg : segments) {
+        if (seg.kv != nullptr) {
+            seg.kv->advance(seg.len);
+        }
+    }
+    return logits;
 }
 
 Tensor
 InferenceEngine::forward(const Tensor &tokens)
 {
-    return forwardImpl(tokens, nullptr);
+    EDKM_CHECK(tokens.dim() == 2,
+               "InferenceEngine: tokens must be [B,S]");
+    int64_t b = tokens.size(0), s = tokens.size(1);
+    // One cache-less segment per batch row.
+    return run(tokens.contiguous().view({b * s}),
+               std::vector<Segment>(static_cast<size_t>(b),
+                                    Segment{nullptr, s}));
 }
 
 Tensor
 InferenceEngine::prefill(const Tensor &tokens, KvCache &kv)
 {
-    EDKM_CHECK(tokens.dim() == 2 && tokens.size(0) == 1,
-               "InferenceEngine: prefill takes a single [1,S] request");
-    int64_t s = tokens.size(1);
     EDKM_CHECK(kv.position() == 0,
                "InferenceEngine: prefill needs an empty cache "
                "(reset() it first)");
-    EDKM_CHECK(kv.layers() == config().layers &&
-                   kv.groups() == config().heads &&
-                   kv.headDim() == config().dim / config().heads,
-               "InferenceEngine: KV cache geometry disagrees with the "
-               "model");
-    Tensor logits = forwardImpl(tokens, &kv);
-    kv.advance(s);
-    ++stats_.prefills;
-    stats_.prefillTokens += s;
-    return logits;
-}
-
-Variable
-InferenceEngine::attentionStepForward(int64_t layer, const Variable &x,
-                                      KvCache &kv)
-{
-    int64_t dim = config().dim;
-    int64_t pos = kv.position();
-    std::string p = "blocks." + std::to_string(layer) + ".attn.";
-
-    // Project and split heads exactly as the full forward does for a
-    // [1, 1, D] input.
-    Variable q = splitHeads(p + "wq", x, 1, 1);
-    Variable k = splitHeads(p + "wk", x, 1, 1);
-    Variable v = splitHeads(p + "wv", x, 1, 1);
-
-    // RoPE rows are a pure function of the position: row pos of any
-    // table of length > pos matches the full forward's bit for bit.
-    Tensor cos_row = dec_cos_.slice(0, pos, pos + 1);
-    Tensor sin_row = dec_sin_.slice(0, pos, pos + 1);
-    q = af::rope(q, cos_row, sin_row);
-    k = af::rope(k, cos_row, sin_row);
-
-    kv.write(layer, k.data(), v.data());
-    Tensor ctx =
-        nn::attentionStep(q.data(), kv.k(layer), kv.v(layer), pos);
-    // [H, 1, hd] is (h, hd)-major — the same order the full forward's
-    // transpose+merge produces for one position row.
-    Variable out =
-        linearForward(p + "wo", af::view(af::constant(ctx), {1, dim}));
-    return af::view(out, {1, 1, dim});
-}
-
-Variable
-InferenceEngine::blockStep(int64_t layer, const Variable &x, KvCache &kv)
-{
-    int64_t d = config().dim;
-    std::string p = "blocks." + std::to_string(layer) + ".";
-    Variable h = af::add(
-        x, attentionStepForward(layer, rmsNorm(x, p + "norm1.weight"),
-                                kv));
-    Variable flat = af::view(rmsNorm(h, p + "norm2.weight"), {1, d});
-    Variable gate = af::silu(linearForward(p + "mlp.w1", flat));
-    Variable up = linearForward(p + "mlp.w3", flat);
-    Variable m = linearForward(p + "mlp.w2", af::mul(gate, up));
-    return af::add(h, af::view(m, {1, 1, d}));
-}
-
-Tensor
-InferenceEngine::decodeStep(int64_t token, KvCache &kv)
-{
-    NoGradGuard ng;
-    EDKM_CHECK(kv.position() >= 1,
-               "InferenceEngine: decodeStep needs a prefilled cache");
-    EDKM_CHECK(token >= 0 && token < config().vocab,
-               "InferenceEngine: token ", token, " outside the vocab");
-    ensureDecodeRope(kv.position() + 1);
-    Tensor tok = Tensor::fromIndices({token}, {1});
-    Variable h = af::view(embed(tok), {1, 1, config().dim});
-    for (int64_t l = 0; l < config().layers; ++l) {
-        h = blockStep(l, h, kv);
-    }
-    h = rmsNorm(h, "final_norm.weight");
-    h = af::view(h, {1, config().dim});
-    Tensor logits = linearForward("lm_head", h).data();
-    kv.advance(1);
-    ++stats_.decodeSteps;
-    return logits;
-}
-
-Variable
-InferenceEngine::attentionChunkForward(int64_t layer, const Variable &x,
-                                       KvCache &kv)
-{
-    int64_t dim = config().dim, heads = config().heads;
-    int64_t c = x.data().shape()[1];
-    int64_t p0 = kv.position();
-    std::string p = "blocks." + std::to_string(layer) + ".attn.";
-
-    Variable q = splitHeads(p + "wq", x, 1, c);
-    Variable k = splitHeads(p + "wk", x, 1, c);
-    Variable v = splitHeads(p + "wv", x, 1, c);
-
-    // RoPE rows are position-pure: rows [p0, p0+c) of the decode table
-    // match rows [p0, p0+c) of any full-forward table bit for bit.
-    Tensor cos = dec_cos_.slice(0, p0, p0 + c);
-    Tensor sin = dec_sin_.slice(0, p0, p0 + c);
-    q = af::rope(q, cos, sin);
-    k = af::rope(k, cos, sin);
-
-    // Bank this chunk's rows at [p0, p0+c) (the caller advances the
-    // position after all layers), then attend over prefix + chunk.
-    kv.write(layer, k.data(), v.data());
-    Tensor ctx =
-        nn::attentionChunk(q.data(), kv.k(layer), kv.v(layer), p0);
-
-    // [H, c, hd] -> [c, dim]: the same transpose+merge the full
-    // forward applies to its context.
-    Variable cv =
-        af::view(af::constant(ctx), {1, heads, c, dim / heads});
-    cv = af::transpose(cv, 1, 2);
-    cv = af::contiguous(cv);
-    cv = af::view(cv, {c, dim});
-    Variable out = linearForward(p + "wo", cv);
-    return af::view(out, {1, c, dim});
-}
-
-Variable
-InferenceEngine::blockChunk(int64_t layer, const Variable &x, KvCache &kv)
-{
-    const Shape &sh = x.data().shape();
-    int64_t seq = sh[1], d = sh[2];
-    std::string p = "blocks." + std::to_string(layer) + ".";
-    Variable h = af::add(
-        x, attentionChunkForward(layer, rmsNorm(x, p + "norm1.weight"),
-                                 kv));
-    Variable flat = af::view(rmsNorm(h, p + "norm2.weight"), {seq, d});
-    Variable gate = af::silu(linearForward(p + "mlp.w1", flat));
-    Variable up = linearForward(p + "mlp.w3", flat);
-    Variable m = linearForward(p + "mlp.w2", af::mul(gate, up));
-    return af::add(h, af::view(m, {1, seq, d}));
+    return prefillChunk(tokens, kv);
 }
 
 Tensor
 InferenceEngine::prefillChunk(const Tensor &tokens, KvCache &kv)
 {
-    NoGradGuard ng;
     EDKM_CHECK(tokens.dim() == 2 && tokens.size(0) == 1,
-               "InferenceEngine: prefillChunk takes a [1,c] chunk");
+               "InferenceEngine: prefill takes a single [1,c] request");
     int64_t c = tokens.size(1);
-    EDKM_CHECK(c >= 1, "InferenceEngine: empty prefill chunk");
-    EDKM_CHECK(kv.layers() == config().layers &&
-                   kv.groups() == config().heads &&
-                   kv.headDim() == config().dim / config().heads,
-               "InferenceEngine: KV cache geometry disagrees with the "
-               "model");
-    int64_t p0 = kv.position();
-    EDKM_CHECK(p0 + c <= kv.capacity(), "InferenceEngine: chunk of ", c,
-               " token(s) at position ", p0,
-               " overflows the cache capacity ", kv.capacity());
-    ensureDecodeRope(p0 + c);
-    Tensor flat_tokens = tokens.isContiguous()
-                             ? tokens.view({c})
-                             : tokens.contiguous().view({c});
-    Variable h = embed(flat_tokens);
-    h = af::view(h, {1, c, config().dim});
-    for (int64_t l = 0; l < config().layers; ++l) {
-        h = blockChunk(l, h, kv);
-    }
-    h = rmsNorm(h, "final_norm.weight");
-    h = af::view(h, {c, config().dim});
-    Tensor logits = linearForward("lm_head", h).data();
-    kv.advance(c);
-    ++stats_.chunkPrefills;
-    stats_.prefillTokens += c;
+    Tensor logits = run(tokens.contiguous().view({c}), {Segment{&kv, c}});
+    ++stats_.prefills;
     return logits;
 }
 
-Variable
-InferenceEngine::attentionStepBatch(int64_t layer, const Variable &x,
-                                    const std::vector<KvCache *> &kvs)
+Tensor
+InferenceEngine::decodeStep(int64_t token, KvCache &kv)
 {
-    int64_t dim = config().dim, heads = config().heads;
-    int64_t hd = dim / heads;
-    int64_t bsz = static_cast<int64_t>(kvs.size());
-    std::string p = "blocks." + std::to_string(layer) + ".attn.";
-
-    // One [B, D] x [D, D] pass per projection serves every request:
-    // row i is bit-identical to the [1, D] projection of request i
-    // alone (ops::matmul / matmulStreamed row-shape invariance).
-    Variable flat = af::view(x, {bsz, dim});
-    Variable qf = linearForward(p + "wq", flat);
-    Variable kf = linearForward(p + "wk", flat);
-    Variable vf = linearForward(p + "wv", flat);
-
-    // Attention core per request: each slot ropes at its own position
-    // and attends over its own cache — literally the single-request
-    // decode step's computation on its row of the batched projections.
-    Tensor ctx = Tensor::empty({bsz, dim});
-    float *pc = ctx.rawData<float>();
-    for (int64_t i = 0; i < bsz; ++i) {
-        int64_t pos = kvs[i]->position();
-        Tensor cos_row = dec_cos_.slice(0, pos, pos + 1);
-        Tensor sin_row = dec_sin_.slice(0, pos, pos + 1);
-        // A contiguous [1, dim] row reinterprets as [heads, 1, hd] in
-        // exactly the (h, hd)-major order splitHeads produces for one
-        // position.
-        Variable q = af::rope(
-            af::constant(
-                qf.data().slice(0, i, i + 1).view({heads, 1, hd})),
-            cos_row, sin_row);
-        Variable k = af::rope(
-            af::constant(
-                kf.data().slice(0, i, i + 1).view({heads, 1, hd})),
-            cos_row, sin_row);
-        kvs[i]->write(layer, k.data(),
-                      vf.data().slice(0, i, i + 1).view({heads, 1, hd}));
-        Tensor c_i = nn::attentionStep(q.data(), kvs[i]->k(layer),
-                                       kvs[i]->v(layer), pos);
-        std::memcpy(pc + i * dim, c_i.rawData<float>(),
-                    static_cast<size_t>(dim) * sizeof(float));
-    }
-    Variable out = linearForward(p + "wo", af::constant(ctx));
-    return af::view(out, {bsz, 1, dim});
-}
-
-Variable
-InferenceEngine::blockStepBatch(int64_t layer, const Variable &x,
-                                const std::vector<KvCache *> &kvs)
-{
-    int64_t bsz = static_cast<int64_t>(kvs.size());
-    int64_t d = config().dim;
-    std::string p = "blocks." + std::to_string(layer) + ".";
-    Variable h = af::add(
-        x, attentionStepBatch(layer, rmsNorm(x, p + "norm1.weight"),
-                              kvs));
-    Variable flat = af::view(rmsNorm(h, p + "norm2.weight"), {bsz, d});
-    Variable gate = af::silu(linearForward(p + "mlp.w1", flat));
-    Variable up = linearForward(p + "mlp.w3", flat);
-    Variable m = linearForward(p + "mlp.w2", af::mul(gate, up));
-    return af::add(h, af::view(m, {bsz, 1, d}));
+    return decodeStepBatch({token}, {&kv});
 }
 
 Tensor
 InferenceEngine::decodeStepBatch(const std::vector<int64_t> &tokens,
                                  const std::vector<KvCache *> &kvs)
 {
-    NoGradGuard ng;
     int64_t bsz = static_cast<int64_t>(tokens.size());
     EDKM_CHECK(bsz >= 1, "InferenceEngine: empty decode batch");
     EDKM_CHECK(kvs.size() == tokens.size(),
                "InferenceEngine: decode batch has ", tokens.size(),
                " token(s) but ", kvs.size(), " cache(s)");
-    int64_t max_needed = 0;
+    std::vector<Segment> segments;
+    segments.reserve(kvs.size());
     for (size_t i = 0; i < kvs.size(); ++i) {
         EDKM_CHECK(kvs[i] != nullptr,
                    "InferenceEngine: null KV cache in decode batch");
         EDKM_CHECK(kvs[i]->position() >= 1,
-                   "InferenceEngine: decodeStepBatch needs prefilled "
-                   "caches");
+                   "InferenceEngine: decode needs prefilled caches");
         EDKM_CHECK(tokens[i] >= 0 && tokens[i] < config().vocab,
                    "InferenceEngine: token ", tokens[i],
                    " outside the vocab");
-        for (size_t j = 0; j < i; ++j) {
-            EDKM_CHECK(kvs[j] != kvs[i],
-                       "InferenceEngine: the same KV cache appears "
-                       "twice in one decode batch");
-        }
-        max_needed = std::max(max_needed, kvs[i]->position() + 1);
+        segments.push_back(Segment{kvs[i], 1});
     }
-    ensureDecodeRope(max_needed);
-    Tensor tok = Tensor::fromIndices(tokens, {bsz});
-    Variable h = af::view(embed(tok), {bsz, 1, config().dim});
-    for (int64_t l = 0; l < config().layers; ++l) {
-        h = blockStepBatch(l, h, kvs);
-    }
-    h = rmsNorm(h, "final_norm.weight");
-    h = af::view(h, {bsz, config().dim});
-    Tensor logits = linearForward("lm_head", h).data();
-    for (KvCache *kv : kvs) {
-        kv->advance(1);
-    }
-    ++stats_.batchSteps;
-    stats_.batchTokens += bsz;
+    Tensor logits = run(Tensor::fromIndices(tokens, {bsz}), segments);
+    stats_.decodeSteps += bsz;
     return logits;
 }
 
 void
-InferenceEngine::ensureDecodeRope(int64_t len)
+InferenceEngine::ensureRope(int64_t len)
 {
-    if (dec_rope_len_ >= len) {
+    if (rope_rows_ >= len) {
         return;
     }
-    // Rows are position-pure, so growing the table never changes an
-    // existing row; grow geometrically to amortise rebuilds.
-    dec_rope_len_ = std::max(len, 2 * dec_rope_len_);
-    nn::buildRopeTables(dec_rope_len_, config().dim / config().heads,
-                        dec_cos_, dec_sin_);
+    // Rows are position-pure (the same builder the eager model uses,
+    // and row p of any table equals row p of a longer one), so growing
+    // never changes a row; grow geometrically to amortise rebuilds.
+    rope_rows_ = std::max(len, 2 * rope_rows_);
+    nn::buildRopeTables(rope_rows_, config().dim / config().heads,
+                        cos_table_, sin_table_);
 }
 
 void

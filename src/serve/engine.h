@@ -13,19 +13,30 @@
  *   - dense_f16 / affine sections decode to dense f32 lazily on first
  *     touch, into an LRU cache bounded by a byte budget.
  *
- * The forward mirrors nn::MiniLlama's op sequence exactly (the same
- * tensor kernels in the same order under NoGrad), so logits are
- * bit-identical to forward on the eagerly reconstructed model — the
- * contract test_serve.cc enforces per codec.
+ * Every entry point is input checks plus one private run() over a
+ * segment batch. A segment is one request's run of c >= 1 consecutive
+ * positions, with its own KvCache (or none, for forward()). Norms, the
+ * q/k/v/o projections and the MLP run once over all rows; attention
+ * runs per segment, in order: rope at the segment's positions, bank
+ * its K/V rows, then nn::attentionChunk over the cached prefix plus
+ * the segment. forward() is one cache-less segment per batch row,
+ * prefill() is prefillChunk() from position 0, and decodeStep() is
+ * decodeStepBatch() of one.
  *
- * generate() decodes incrementally through a KvCache: the prompt runs
- * one prefill forward that banks every layer's rope'd keys and values,
- * then each new token costs a single-position decode step attending
- * over the cache — O(1) forwards per token instead of O(t). The cached
- * path produces logits bit-identical to the full-prefix forward (the
- * matmul layer's row-shape invariance plus exact exp-flush of masked
- * softmax columns; see nn::attentionStep), which test_serve.cc pins for
- * every codec.
+ * Logits are bit-identical to forward on the eagerly reconstructed
+ * nn::MiniLlama (the contract test_serve.cc enforces per codec):
+ *   - the same tensor kernels run in the same order under NoGrad;
+ *   - matmul rows accumulate the same way at any row count
+ *     (ops::matmul / matmulStreamed row-shape invariance), so batch
+ *     composition never changes a row;
+ *   - attentionChunk replays the eager masked attention for any chunk
+ *     of positions: masked columns exp-flush to exactly +0, trailing
+ *     zero columns change neither the softmax denominator nor the
+ *     zero-skipping value matmul, and RoPE rows are position-pure.
+ *
+ * generate() decodes incrementally through a KvCache: one prefill
+ * banks the prompt, then each new token costs a one-position step over
+ * the cache — O(1) forwards per token instead of O(t).
  *
  * The engine is not thread-safe: one thread drives it at a time
  * (serve::Server's step loop owns exactly one).
@@ -98,13 +109,9 @@ struct EngineStats
     int64_t streamedMatmuls = 0; ///< palettized LUT+index matmuls run
     int64_t fusedDecodes = 0;    ///< of those, m==1 fused-kernel decodes
     int64_t borrowedViews = 0;   ///< zero-copy sections in use
-    int64_t prefills = 0;        ///< KV-cache prompt prefills run
-    int64_t prefillTokens = 0;   ///< tokens cached by prefills
-    int64_t decodeSteps = 0;     ///< single-position decode steps run
+    int64_t prefills = 0;        ///< prefill chunks run (prefill() is one)
+    int64_t decodeSteps = 0;     ///< token rows decoded
     int64_t kvCacheBytes = 0;    ///< K/V bytes of the live cache
-    int64_t chunkPrefills = 0;   ///< prefillChunk calls run
-    int64_t batchSteps = 0;      ///< decodeStepBatch forwards run
-    int64_t batchTokens = 0;     ///< tokens decoded by batch steps
 };
 
 /** Batched request API over the artifact-backed forward. */
@@ -183,49 +190,37 @@ class InferenceEngine
     std::vector<Response> generate(const std::vector<Request> &batch);
 
     /**
-     * Run @p tokens [1, S] through the forward once, writing each
-     * layer's rope'd keys and raw values into @p kv (which must be
-     * empty — position 0 — and shaped for this engine's geometry).
-     * Returns the [S, vocab] logits, bit-identical to forward().
+     * prefillChunk() from position 0: @p kv must be empty. Returns the
+     * [S, vocab] logits, bit-identical to forward().
      */
     Tensor prefill(const Tensor &tokens, KvCache &kv);
 
     /**
-     * Incremental decode of one token at position kv.position():
-     * appends its K/V rows to @p kv and returns the [1, vocab] logits —
-     * bit-identical to the last row of forward() over the whole prefix.
-     * @p kv must hold at least one position (prefill first).
+     * decodeStepBatch() of one: decode @p token at kv.position() and
+     * return its [1, vocab] logits — bit-identical to the last row of
+     * forward() over the whole prefix.
      */
     Tensor decodeStep(int64_t token, KvCache &kv);
 
     /**
-     * Prefill continuation: run the @p tokens [1, c] chunk through the
-     * forward at positions [kv.position(), kv.position() + c), banking
-     * each layer's rope'd keys / raw values into @p kv (whose rows
-     * [0, position()) must hold the prefix — banked by earlier chunks
-     * of this request, or copied in from a shared PrefixCache).
-     * Returns the chunk's [c, vocab] logits.
-     *
-     * Bit-identity: row i equals row position() + i of forward() over
-     * the whole prefix (see nn::attentionChunk). A single whole-prompt
-     * chunk from an empty cache is therefore bit-identical to
-     * prefill(); splitting the prompt into chunks of any sizes never
-     * changes a banked row or a logit.
+     * Run the @p tokens [1, c] chunk as one segment at positions
+     * [kv.position(), kv.position() + c), banking each layer's rope'd
+     * keys / raw values into @p kv (whose rows [0, position()) must
+     * hold the prefix — banked by earlier chunks of this request, or
+     * copied in from a shared PrefixCache). Returns the chunk's
+     * [c, vocab] logits; row i equals row position() + i of forward()
+     * over the whole prefix, so any split of a prompt into chunks
+     * gives the same banked rows and logits.
      */
     Tensor prefillChunk(const Tensor &tokens, KvCache &kv);
 
     /**
-     * One batched decode step: token @p i of @p tokens advances the
-     * request backed by @p kvs[i], all merged into a single [B, ...]
-     * forward per layer. Appends each request's K/V rows to its own
-     * cache and returns the [B, vocab] logits.
-     *
-     * Bit-identity: row i is bit-identical to
-     * `decodeStep(tokens[i], *kvs[i])` — the linear/MLP/norm layers are
-     * row-shape-invariant (ops::matmul contract) and the attention core
-     * runs per request over its own cache, so batch composition,
-     * ordering, and size never change a logit. Requests may sit at
-     * different positions. The scheduler's step loop is built on this.
+     * One batched decode step: token @p i of @p tokens is a one-
+     * position segment over @p kvs[i] (prefilled, distinct caches, any
+     * positions). Appends each request's K/V rows to its own cache and
+     * returns the [B, vocab] logits; row i is bit-identical to
+     * `decodeStep(tokens[i], *kvs[i])` whatever the batch's size,
+     * order or composition. The scheduler's step loop is built on it.
      */
     Tensor decodeStepBatch(const std::vector<int64_t> &tokens,
                            const std::vector<KvCache *> &kvs);
@@ -257,27 +252,31 @@ class InferenceEngine
     Variable linearForward(const std::string &path, const Variable &x);
     Variable rmsNorm(const Variable &x, const std::string &name);
     Variable embed(const Tensor &flat_tokens);
-    /** Project [B,S,D] @p x through @p proj and split into
-     *  [B*heads, S, head_dim] — one definition for prefill and decode. */
-    Variable splitHeads(const std::string &proj, const Variable &x,
-                        int64_t b, int64_t s);
-    Variable attentionForward(int64_t layer, const Variable &x,
-                              KvCache *kv);
-    Variable blockForward(int64_t layer, const Variable &x, KvCache *kv);
-    Variable attentionStepForward(int64_t layer, const Variable &x,
-                                  KvCache &kv);
-    Variable blockStep(int64_t layer, const Variable &x, KvCache &kv);
-    Variable attentionChunkForward(int64_t layer, const Variable &x,
-                                   KvCache &kv);
-    Variable blockChunk(int64_t layer, const Variable &x, KvCache &kv);
-    Variable attentionStepBatch(int64_t layer, const Variable &x,
-                                const std::vector<KvCache *> &kvs);
-    Variable blockStepBatch(int64_t layer, const Variable &x,
-                            const std::vector<KvCache *> &kvs);
-    Tensor forwardImpl(const Tensor &tokens, KvCache *kv);
+
+    /** One request's run of consecutive positions in a run() batch. */
+    struct Segment
+    {
+        /** The request's cache; its position is the segment's first.
+         *  Null: no cache, the segment attends over its own rows from
+         *  position 0 (forward()). */
+        KvCache *kv = nullptr;
+        int64_t len = 0; ///< positions (token rows), >= 1
+    };
+
+    /**
+     * The one forward every entry point runs. @p tokens [R] holds the
+     * segments' tokens back to back. Norms, projections and the MLP
+     * run once over all R rows; attention runs per segment, in order.
+     * Banks each cached segment's K/V rows and advances its cache.
+     * Returns the [R, vocab] logits.
+     */
+    Tensor run(const Tensor &tokens, const std::vector<Segment> &segments);
+    Variable attention(int64_t layer, const Variable &x,
+                       const std::vector<Segment> &segments);
+    Variable block(int64_t layer, const Variable &x,
+                   const std::vector<Segment> &segments);
     void ensureKv(int64_t needed);
-    void ensureSeqCaches(int64_t s);
-    void ensureDecodeRope(int64_t len);
+    void ensureRope(int64_t len);
     void evictToBudget();
 
     std::shared_ptr<const ArtifactReader> reader_;
@@ -289,15 +288,10 @@ class InferenceEngine
     std::unordered_map<std::string, CacheSlot> cache_;
     uint64_t use_clock_ = 0;
 
-    // Per-sequence-length RoPE and causal-mask caches (same values
-    // nn::MultiHeadAttention computes per layer).
-    Tensor rope_cos_, rope_sin_, causal_mask_;
-    int64_t cached_seq_ = -1;
-
-    // Decode-path RoPE rows (no mask; grown geometrically) and the
-    // engine-owned per-request KV cache generate() reuses.
-    Tensor dec_cos_, dec_sin_;
-    int64_t dec_rope_len_ = 0;
+    // RoPE rows [0, rope_rows_) (grown geometrically) and the
+    // engine-owned KV cache generate() reuses.
+    Tensor cos_table_, sin_table_;
+    int64_t rope_rows_ = 0;
     std::unique_ptr<KvCache> kv_;
 };
 

@@ -3,19 +3,18 @@
  * Per-request key/value cache for incremental decode.
  *
  * A KvCache holds one K and one V tensor per transformer layer, shaped
- * [groups, capacity, head_dim] (groups = batch * heads; the serving
- * engine decodes single requests, so groups == heads). Rows [0, position)
- * hold the rope'd keys and raw values of every token decoded so far;
- * position advances once per prefill / decode step after all layers have
- * written their rows.
+ * [groups, capacity, head_dim] (groups == heads: one cache per
+ * request). Rows [0, position) hold the rope'd keys and raw values of
+ * every token run so far; position advances once per engine call, by
+ * the request's segment length, after all layers have written their
+ * rows.
  *
  * The cache is plain bookkeeping: it never computes. The engine writes
- * rows through write() and attends over slices of k()/v() via
- * nn::attentionStep (nn::MultiHeadAttention::forwardStep manages raw
- * cache tensors of the same [G, capacity, hd] layout itself — nn
- * cannot depend on serve). Capacity is fixed at construction — writing
- * past it throws a FatalError naming the capacity, which is the
- * overflow contract tests/test_serve.cc pins.
+ * a segment's rows through write() and attends over slices of k()/v()
+ * via nn::attentionChunk, for a prefill chunk and a one-position
+ * decode step alike. Capacity is fixed at construction — writing past
+ * it throws a FatalError naming the capacity, which is the overflow
+ * contract tests/test_serve.cc pins.
  *
  * Not thread-safe; a cache belongs to exactly one engine (which itself
  * belongs to one serving thread).

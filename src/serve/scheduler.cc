@@ -230,7 +230,7 @@ BatchScheduler::prefillPhase()
             }
             // Prompt complete: bank the head for later requests, then
             // sample the first new token from the last prompt
-            // position's logits — exactly generateCached's sequence.
+            // position's logits — exactly generate()'s sequence.
             if (prefix_ != nullptr) {
                 prefix_->insert(slot.request.prompt, prompt_len,
                                 *slot.kv);

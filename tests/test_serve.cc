@@ -785,7 +785,7 @@ TEST_P(EngineBitExact, ForwardMatchesEagerReconstruct)
 
     NoGradGuard ng;
     for (auto [b, s] : std::vector<std::pair<int64_t, int64_t>>{
-             {2, 8}, {1, 1}}) {
+             {2, 8}, {1, 1}, {3, 5}}) {
         Tensor toks = tokenBatch(b, s, 64, 7 + static_cast<uint64_t>(s));
         EXPECT_EQ(engine.forward(toks).toVector(),
                   eager.forward(toks).data().toVector())
@@ -924,27 +924,10 @@ codecOf(const std::string &scheme)
     return api::Codec::kRawF32;
 }
 
-TEST(AttentionStep, ForwardStepMatchesFullForwardBitExact)
-{
-    Rng rng(9);
-    nn::MultiHeadAttention attn(32, 4, rng);
-    NoGradGuard ng;
-    const int64_t s = 7, hd = 8;
-    Tensor x = Tensor::randn({1, s, 32}, rng);
-    Variable full = attn.forward(Variable(x)); // [1, s, 32]
-    Tensor kc = Tensor::zeros({4, s, hd});
-    Tensor vc = Tensor::zeros({4, s, hd});
-    for (int64_t t = 0; t < s; ++t) {
-        Tensor xt = x.slice(1, t, t + 1).contiguous();
-        Variable yt = attn.forwardStep(Variable(xt), kc, vc, t);
-        EXPECT_EQ(yt.data().toVector(),
-                  full.data().slice(1, t, t + 1).contiguous().toVector())
-            << "position " << t;
-    }
-}
-
-/** Cached decode must produce logits bit-identical to the full-prefix
- *  forward for every codec an artifact can carry. */
+/** Cached decode must produce logits bit-identical to the eager
+ *  model's full-prefix forward for every codec an artifact can carry.
+ *  The reference is the reconstructed nn::MiniLlama, which shares no
+ *  code with the engine's forward. */
 class KvDecodeBitExact : public ::testing::TestWithParam<const char *>
 {
 };
@@ -963,11 +946,20 @@ TEST_P(KvDecodeBitExact, DecodeStepLogitsMatchFullPrefixForward)
                                  std::string("edkm_test_kv_") +
                                      GetParam() + ".edkm");
 
+    nn::MiniLlama eager = art.reconstruct();
     auto reader = serve::ArtifactReader::open(path);
     serve::InferenceEngine engine(reader);
     const nn::LlamaConfig &cfg = reader->config();
 
     NoGradGuard ng;
+    auto eager_last = [&](const std::vector<int64_t> &prefix) {
+        Tensor full = eager
+                          .forward(Tensor::fromIndices(
+                              prefix,
+                              {1, static_cast<int64_t>(prefix.size())}))
+                          .data();
+        return full.slice(0, full.size(0) - 1, full.size(0)).contiguous();
+    };
     std::vector<int64_t> ctx = {3, 17, 42, 5, 60};
     const int64_t steps = 4;
     serve::KvCache kv(cfg.layers, cfg.heads, cfg.dim / cfg.heads,
@@ -976,8 +968,8 @@ TEST_P(KvDecodeBitExact, DecodeStepLogitsMatchFullPrefixForward)
     Tensor prompt = Tensor::fromIndices(
         ctx, {1, static_cast<int64_t>(ctx.size())});
     Tensor plogits = engine.prefill(prompt, kv);
-    EXPECT_EQ(plogits.toVector(), engine.forward(prompt).toVector())
-        << "prefill logits diverge from forward";
+    EXPECT_EQ(plogits.toVector(), eager.forward(prompt).data().toVector())
+        << "prefill logits diverge from the eager forward";
     EXPECT_EQ(kv.position(), static_cast<int64_t>(ctx.size()));
 
     Tensor last = plogits.slice(0, plogits.size(0) - 1,
@@ -986,25 +978,17 @@ TEST_P(KvDecodeBitExact, DecodeStepLogitsMatchFullPrefixForward)
     for (int64_t step = 0; step < steps; ++step) {
         ctx.push_back(next);
         Tensor cached = engine.decodeStep(next, kv); // [1, vocab]
-        Tensor full = engine.forward(Tensor::fromIndices(
-            ctx, {1, static_cast<int64_t>(ctx.size())}));
-        Tensor full_last =
-            full.slice(0, full.size(0) - 1, full.size(0));
-        EXPECT_EQ(cached.toVector(), full_last.contiguous().toVector())
+        EXPECT_EQ(cached.toVector(), eager_last(ctx).toVector())
             << GetParam() << " step " << step;
         next = argmaxLastDim(cached).flatAtInt(0);
     }
 
-    // End to end: cached generate() == greedy decode recomputing the
-    // full prefix at every step.
+    // End to end: cached generate() == eager greedy decode recomputing
+    // the full prefix at every step.
     serve::InferenceEngine::Request req{{9, 2, 33}, 5};
     std::vector<int64_t> want = req.prompt;
     for (int64_t step = 0; step < req.maxNewTokens; ++step) {
-        Tensor full = engine.forward(Tensor::fromIndices(
-            want, {1, static_cast<int64_t>(want.size())}));
-        Tensor full_last =
-            full.slice(0, full.size(0) - 1, full.size(0));
-        want.push_back(argmaxLastDim(full_last).flatAtInt(0));
+        want.push_back(argmaxLastDim(eager_last(want)).flatAtInt(0));
     }
     int64_t fused0 = engine.stats().fusedDecodes;
     EXPECT_EQ(engine.generate(req).tokens, want);
